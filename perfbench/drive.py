@@ -28,6 +28,10 @@ _SAMPLE_EVERY = 0.5
 #: An open-loop client samples memory only with at least this much slack
 #: before the next request is due.
 _SAMPLE_SLACK = 0.01
+#: Requests a closed-loop client keeps in flight (32 robots).
+OUTSTANDING = 32
+#: Seconds a closed loop runs before measuring starts (see ``closed_loop``).
+WARMUP_S = 1.0
 
 
 @dataclass
@@ -157,14 +161,12 @@ class Drive:
 def closed_loop(
     submit: Callable[[Any], Future],
     make_query: Callable[[int], Any],
-    outstanding: int,
     seconds: float,
+    sampler: MemorySampler,
     first_index: int = 0,
-    on_submit: Callable[[int], None] | None = None,
-    sampler: MemorySampler | None = None,
-    warmup: float = 0.0,
+    on_submit: Callable[[float], None] | None = None,
 ) -> Drive:
-    """Keep *outstanding* requests in flight for *warmup* + *seconds*.
+    """Keep ``OUTSTANDING`` requests in flight for ``WARMUP_S`` + *seconds*.
 
     Only requests submitted after the warm-up are measured: the first
     flushes after an idle spell carry a burst of N requests at once, and
@@ -174,8 +176,8 @@ def closed_loop(
     a freed slot is refilled at once and generation does not compete with
     the service at the moment a batch completes.  A refill is due when the
     request it replaces finished, so lateness measures how long the client
-    took to notice and resubmit.  *on_submit* sees how many measured
-    requests came before, just before each measured one is submitted.
+    took to notice and resubmit.  *on_submit* sees how many seconds
+    measuring has run, just before each measured request is submitted.
     """
     records: list[Record] = []
     warm: list[Record] = []
@@ -191,16 +193,16 @@ def closed_loop(
         index += 1
 
     began = time.perf_counter()
-    started = began + warmup
+    started = began + WARMUP_S
     deadline = started + seconds
     while True:
-        while len(flight.pending) < outstanding and time.perf_counter() < deadline:
+        while len(flight.pending) < OUTSTANDING and time.perf_counter() < deadline:
             if not ahead:
                 generate()
             position, query = ahead.popleft()
             now = time.perf_counter()
             if now >= started and on_submit is not None:
-                on_submit(len(records))
+                on_submit(now - started)
             record = Record(index=position, label=query.label, start=time.perf_counter())
             (records if now >= started else warm).append(record)
             flight.submit(submit, record, query)
@@ -211,10 +213,10 @@ def closed_loop(
         if not flight.pending:
             break
         finished: list[Record] = []
-        while not finished and len(ahead) < outstanding and time.perf_counter() < deadline:
+        while not finished and len(ahead) < OUTSTANDING and time.perf_counter() < deadline:
             generate()
             finished = flight.drain(block=False)
-        if not finished and sampler is not None and sampler.due():
+        if not finished and sampler.due():
             sampler.sample()
             finished = flight.drain(block=False)
         if not finished:
@@ -229,8 +231,8 @@ def open_loop(
     rate_hz: float,
     seconds: float,
     seed: int,
+    sampler: MemorySampler,
     first_index: int = 0,
-    sampler: MemorySampler | None = None,
 ) -> Drive:
     """Submit ``rate_hz * seconds`` requests on a seeded Poisson schedule.
 
@@ -256,7 +258,7 @@ def open_loop(
             wait_s = due - time.perf_counter()
             if wait_s <= 0:
                 break
-            if sampler is not None and wait_s > _SAMPLE_SLACK and sampler.due():
+            if wait_s > _SAMPLE_SLACK and sampler.due():
                 sampler.sample()
                 continue
             time.sleep(min(wait_s, 0.002))

@@ -24,12 +24,10 @@ SEED = 3
 
 
 @pytest.fixture
-def enroll_early(monkeypatch):
-    """Land the revisit workload's enrollments within a sub-second phase."""
+def enroll_twice(monkeypatch):
+    """Two enrollments, so both land within a sub-second phase."""
     name = "revisit-enroll-82x2"
-    monkeypatch.setitem(
-        WORKLOADS, name, dataclasses.replace(WORKLOADS[name], enroll_at=(5, 40))
-    )
+    monkeypatch.setitem(WORKLOADS, name, dataclasses.replace(WORKLOADS[name], enrolls=2))
 
 
 def _run(name, tmp_path, trace=False, seconds=0.4):
@@ -37,14 +35,14 @@ def _run(name, tmp_path, trace=False, seconds=0.4):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_every_workload_runs_and_passes_the_gate(name, tmp_path, enroll_early):
+def test_every_workload_runs_and_passes_the_gate(name, tmp_path, enroll_twice):
     result = _run(name, tmp_path, trace=True)
     assert result.problems == []
     assert result.correct
     assert result.attempted >= 1
     assert set(PER_LAYER_UNITS) <= set(result.metrics) <= set(PER_LAYER_UNITS) | set(LAYER_DETAIL_UNITS)
     w = WORKLOADS[name]
-    if w.enroll_at:
+    if w.enrolls:
         assert result.summary["enroll_s"] > 0
         assert result.metrics["store.swap_s"] > 0
     if w.service == "sharded":
@@ -88,6 +86,28 @@ def test_correctness_gate_fires_on_a_flipped_label(tmp_path, monkeypatch):
     monkeypatch.setattr(HybridPipeline, "predict_batch", flip_one)
     result = _run("stream-82", tmp_path)
     assert not result.correct
+    assert any(p.startswith("correctness gate") for p in result.problems)
+
+
+def test_gate_does_not_read_features_the_served_path_cached(tmp_path, monkeypatch):
+    """A wrong feature cached by the served batch path must not pass."""
+    import numpy as np
+
+    import repro.pipelines.hybrid as hybrid
+
+    original = hybrid.HybridPipeline.theta_scores_batch
+
+    def cache_a_wrong_colour(self, queries):
+        query = queries[0]
+        namespace, version = self._color_keyspace
+        self.cache.get_or_compute(
+            namespace, version, query.image,
+            lambda: np.roll(hybrid.color_features(query, bins=self.bins), 1),
+        )
+        return original(self, queries)
+
+    monkeypatch.setattr(hybrid.HybridPipeline, "theta_scores_batch", cache_a_wrong_colour)
+    result = _run("stream-82", tmp_path)
     assert any(p.startswith("correctness gate") for p in result.problems)
 
 

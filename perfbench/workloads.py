@@ -1,10 +1,11 @@
 """The benchmark's workloads: inputs, set-up, measured phases, gate, metrics.
 
 Each run builds its inputs from the seed, sets the service up several
-times (each from empty caches, timing only calls into the program), then
-drives the last service from one thread for the measured phase.  Every
-answer is then checked against an in-process reference computed after the
-phase, so the reference never warms the measured caches.
+times (each from empty caches, timing only calls into the program), drives
+one service from one thread for the measured phase, and sets up the rest
+after it.  Every answer is then checked against an in-process reference
+computed after the phase, so the reference never warms the measured
+caches.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import multiprocessing
 import os
 import shutil
 import statistics
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -52,8 +55,6 @@ ENROLL_TOKEN = "perfbench-enroll"
 REPLAY_BATCHES = 32
 #: Served answers re-checked against the brute-force champion for recall.
 RECALL_SAMPLE = 200
-#: Seconds a closed loop runs before measuring starts (see ``closed_loop``).
-WARMUP_S = 1.0
 #: Equal time windows of the measured phase whose p99 latencies' median is
 #: ``latency_p99_ms`` (see ``windowed_p99_ms``).
 P99_WINDOWS = 5
@@ -78,11 +79,12 @@ class Workload:
     frames: str  # "fresh" | "revisit"
     loop: str  # "open" | "closed"
     slo_ms: float
+    #: Cold set-ups per run; the later half runs after the measured phases.
     setup_reps: int
     rate_hz: float = 0.0
-    outstanding: int = 32
-    #: Phase-relative request counts at which an enroll() call starts.
-    enroll_at: tuple[int, ...] = ()
+    #: enroll() calls per phase, one starting in the middle of each of as
+    #: many equal time windows.
+    enrolls: int = 0
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -100,8 +102,8 @@ WORKLOADS: dict[str, Workload] = {
             frames="fresh",
             loop="open",
             rate_hz=80.0,
-            slo_ms=50.0,
-            setup_reps=9,
+            slo_ms=20.0,
+            setup_reps=20,
         ),
         Workload(
             name="fleet-10k-sharded",
@@ -114,7 +116,7 @@ WORKLOADS: dict[str, Workload] = {
             library="fleet",
             frames="fresh",
             loop="closed",
-            slo_ms=750.0,
+            slo_ms=320.0,
             setup_reps=1,
         ),
         Workload(
@@ -128,7 +130,7 @@ WORKLOADS: dict[str, Workload] = {
             library="fleet",
             frames="fresh",
             loop="closed",
-            slo_ms=400.0,
+            slo_ms=210.0,
             setup_reps=1,
         ),
         Workload(
@@ -142,9 +144,9 @@ WORKLOADS: dict[str, Workload] = {
             library="sns1",
             frames="revisit",
             loop="closed",
-            slo_ms=150.0,
-            setup_reps=9,
-            enroll_at=(1000, 4000),
+            slo_ms=50.0,
+            setup_reps=20,
+            enrolls=P99_WINDOWS,
         ),
     )
 }
@@ -196,7 +198,7 @@ def make_inputs(w: Workload, seed: int, root: Path, scale: Scale) -> Inputs:
     else:
         frames = inputs.RevisitFrames(pool, seed, scale.working_set)
     # Two phases in a traced run, each with its own enrollment events.
-    enrollments = inputs.enrollment_batches(2 * len(w.enroll_at))
+    enrollments = inputs.enrollment_batches(2 * w.enrolls)
     return Inputs(config=config, library=library, frames=frames, enrollments=enrollments)
 
 
@@ -250,7 +252,7 @@ def set_up(w: Workload, data: Inputs, library: ImageDataset, workdir: Path) -> S
         service.start()
     else:
         pipeline = None
-        enrolling = bool(w.enroll_at)
+        enrolling = bool(w.enrolls)
         service = ShardedRecognitionService(
             PIPELINE,
             str(workdir),
@@ -326,17 +328,22 @@ def measure(
     before = service.report()
     enrolls: list[tuple[float, float, Any]] = []
     threads: list[threading.Thread] = []
-    due = dict(zip(w.enroll_at, enrollments))
+    # (seconds into the phase, views): one enrollment mid-way through each
+    # of w.enrolls equal windows, so every p99 window holds one.
+    due = deque(
+        ((k + 0.5) * seconds / w.enrolls, additions)
+        for k, additions in enumerate(enrollments)
+    )
 
     def enroll(additions: list) -> None:
         started = time.perf_counter()
         report = service.enroll(additions, token=ENROLL_TOKEN)
         enrolls.append((started, time.perf_counter(), report))
 
-    def on_submit(position: int) -> None:
-        additions = due.get(position)
-        if additions is not None:
-            thread = threading.Thread(target=enroll, args=(additions,), name="enroll")
+    def on_submit(elapsed: float) -> None:
+        # Enrollments never overlap: a late one waits for the one before.
+        if due and elapsed >= due[0][0] and not any(t.is_alive() for t in threads):
+            thread = threading.Thread(target=enroll, args=(due.popleft()[1],), name="enroll")
             thread.start()
             threads.append(thread)
 
@@ -347,19 +354,17 @@ def measure(
             w.rate_hz,
             seconds,
             inputs.SCHEDULE_SEED,
+            sampler,
             first_index=first_index,
-            sampler=sampler,
         )
     else:
         drive = closed_loop(
             service.submit,
             data.frames,
-            w.outstanding,
             seconds,
+            sampler,
             first_index=first_index,
             on_submit=on_submit if due else None,
-            sampler=sampler,
-            warmup=WARMUP_S,
         )
     for thread in threads:
         thread.join()
@@ -401,31 +406,68 @@ def _reference_pipeline(setup: Setup, config: ExperimentConfig, version: str) ->
     return pipeline
 
 
+#: What the forked gate processes compute: (keys of a query block, frames).
+_FORKED: tuple[Callable[[list], list[tuple]], Callable[[int], Any]] | None = None
+
+
+def _forked_block(indices: list[int]) -> list[tuple]:
+    expect, frames = _FORKED
+    return expect([frames(i) for i in indices])
+
+
+def _expected_keys(
+    expect: Callable[[list], list[tuple]], frames: Callable[[int], Any], indices: list[int]
+) -> list[tuple]:
+    """``expect`` over the frames at *indices*, in blocks of 64, split
+    between up to two processes forked from this one, so each starts from
+    the reference exactly as it stands here."""
+    global _FORKED
+    blocks = [indices[start : start + 64] for start in range(0, len(indices), 64)]
+    _FORKED = (expect, frames)
+    pool = multiprocessing.get_context("fork").Pool(min(2, os.cpu_count() or 1))
+    try:
+        keys = pool.map(_forked_block, blocks)
+        pool.close()
+    finally:
+        pool.terminate()
+        pool.join()
+        _FORKED = None
+    return [key for block in keys for key in block]
+
+
 def check(w: Workload, setup: Setup, data: Inputs, phases: list[Phase]) -> list[str]:
     """Problems found by the correctness gate and the cache guard."""
     problems: list[str] = []
     answered = [r for phase in phases for r in _answered(phase)]
-    mismatches = 0
-    if w.service == "inproc":
-        # batch = scalar: served predict_batch answers against predict().
-        for r in answered:
-            mismatches += _key(r.answer) != _key(setup.pipeline.predict(data.frames(r.index)))
-    elif w.service == "indexed":
-        # The same retriever, one query at a time through champion_batch.
-        references = setup.pipeline.references
-        for r in answered:
-            hit = setup.pipeline.champion_batch([data.frames(r.index)])[0]
-            winner = references[hit.row]
-            mismatches += _key(r.answer) != (winner.label, winner.model_id, hit.score)
-    elif not w.enroll_at:
-        # sharded = in-process, over the very store version served.
-        reference = _reference_pipeline(setup, data.config, setup.store_version)
-        for start in range(0, len(answered), 64):
-            block = answered[start : start + 64]
-            wanted = reference.predict_batch([data.frames(r.index) for r in block])
-            mismatches += sum(_key(r.answer) != _key(p) for r, p in zip(block, wanted))
+    pipeline = setup.pipeline
+    if pipeline is not None:
+        # The service has stopped; re-extract every query instead of
+        # reading the features the served batch path cached.
+        pipeline.cache = FeatureCache()
+    if w.enrolls:
+        mismatches = _check_enrolled(setup, data, phases)
     else:
-        mismatches += _check_enrolled(setup, data, phases)
+        if w.service == "inproc":
+            # batch = scalar: served predict_batch answers against predict().
+            def expect(queries: list) -> list[tuple]:
+                return [_key(pipeline.predict(q)) for q in queries]
+
+        elif w.service == "indexed":
+            # The same retriever, one query at a time through champion_batch.
+            def expect(queries: list) -> list[tuple]:
+                hits = [pipeline.champion_batch([q])[0] for q in queries]
+                winners = [pipeline.references[hit.row] for hit in hits]
+                return [(v.label, v.model_id, hit.score) for v, hit in zip(winners, hits)]
+
+        else:
+            # sharded = in-process, over the very store version served.
+            reference = _reference_pipeline(setup, data.config, setup.store_version)
+
+            def expect(queries: list) -> list[tuple]:
+                return [_key(p) for p in reference.predict_batch(queries)]
+
+        wanted = _expected_keys(expect, data.frames, [r.index for r in answered])
+        mismatches = sum(_key(r.answer) != key for r, key in zip(answered, wanted))
     if mismatches:
         problems.append(f"correctness gate: {mismatches} of {len(answered)} answers mismatch")
     if w.frames == "fresh":
@@ -540,7 +582,10 @@ def end_to_end(
             if answered
             else 0.0
         ),
-        "setup_s": statistics.median(setup_times),
+        # The fastest of the run's set-ups: the host's speed swings only
+        # ever slow a set-up down.  On a 2-core container the median of 20
+        # moved by up to 30% between two sets of ten runs.
+        "setup_s": min(setup_times),
         "peak_rss_mb": peak_mb,
         "enroll_s": statistics.median(enroll_s) if enroll_s else None,
     }
@@ -743,24 +788,37 @@ def run_workload(
     data = make_inputs(w, seed, root, scale)
     workdir = root / ".perfbench-work" / str(os.getpid())
     sampler = MemorySampler()
-    setups: list[Setup] = []
+    setups: list[Setup] = []  # every set-up's timings
+    setup: Setup | None = None  # the measured one
+    # Half the set-ups run before measuring and half after it, so they
+    # sample more than one stretch of host speed.
+    later = w.setup_reps // 2
+
+    def cold_set_up() -> Setup:
+        library = _cold_copy(data.library) if w.setup_reps > 1 else data.library
+        reset_caches()
+        gc.collect()
+        return set_up(w, data, library, workdir / f"setup-{len(setups)}")
+
+    def timed_only() -> None:
+        s = cold_set_up()
+        s.service.stop()
+        # Keep only the timings, so later set-ups and the measured phase
+        # do not carry the memory of earlier ones.
+        setups.append(dataclasses.replace(s, service=None, pipeline=None))
+
     try:
-        for rep in range(w.setup_reps):
-            library = _cold_copy(data.library) if w.setup_reps > 1 else data.library
-            reset_caches()
-            gc.collect()
-            setups.append(set_up(w, data, library, workdir / f"setup-{rep}"))
-            if rep < w.setup_reps - 1:
-                setups[-1].service.stop()
-        setup = setups[-1]
-        if not w.enroll_at:
+        for _ in range(w.setup_reps - later - 1):
+            timed_only()
+        setup = cold_set_up()
+        setups.append(setup)
+        if not (w.enrolls or later):
             # The program keeps what it needs; drop the pixels (the fleet
             # library's are memory-mapped and leave residence with them).
-            data.library = library = None
+            data.library = None
         sampler.sample()
-        plain = measure(w, setup, data, seconds, 0, data.enrollments[: len(w.enroll_at)], sampler)
+        plain = measure(w, setup, data, seconds, 0, data.enrollments[: w.enrolls], sampler)
         phases = [plain]
-        metrics: dict
         if trace:
             tracer = Tracer()
             stopwatch = None
@@ -774,25 +832,27 @@ def run_workload(
             try:
                 traced = measure(
                     w, setup, data, seconds, plain.next_index,
-                    data.enrollments[len(w.enroll_at):], sampler,
+                    data.enrollments[w.enrolls :], sampler,
                 )
             finally:
                 tracer.restore()
                 if setup.pipeline is not None:
                     setup.pipeline.stopwatch = None
             phases.append(traced)
-            setup.service.stop()
+        setup.service.stop()
+        gc.unfreeze()
+        for _ in range(later):
+            timed_only()
+        summary = end_to_end(w, plain, seconds, [s.total_s for s in setups], sampler.peak_mb)
+        if trace:
             metrics = per_layer(w, setup, setups, data, plain, traced, tracer, stopwatch)
         else:
-            setup.service.stop()
-        summary = end_to_end(w, plain, seconds, [s.total_s for s in setups], sampler.peak_mb)
-        if not trace:
             metrics = {k: summary[k] for k in END_TO_END_UNITS}
         problems = check(w, setup, data, phases)
     finally:
         gc.unfreeze()
-        for s in setups:
-            s.service.stop()
+        if setup is not None:
+            setup.service.stop()
         shutil.rmtree(workdir, ignore_errors=True)
         try:
             workdir.parent.rmdir()
