@@ -150,8 +150,11 @@ def fleet_library(
 ) -> ImageDataset:
     """The fixed fleet library, rendered once per checkout then mapped.
 
-    A child process renders it, so the benchmark process never holds the
-    rendered pixels.  The images are read-only memory-mapped views of one
+    A forked child process renders it, so the benchmark process never
+    holds the rendered pixels.  (Forked, not spawned: spawning starts
+    multiprocessing's resource tracker, a helper process that outlives the
+    benchmark by however long it takes to notice the exit.)  The images are
+    read-only memory-mapped views of one
     ``.npy`` stack, so they cost no anonymous memory and drop out of
     residence once the program has extracted their features.
     """
@@ -159,7 +162,7 @@ def fleet_library(
     pixels = cache_dir / f"{stem}.npy"
     meta = cache_dir / f"{stem}.json"
     if not (pixels.is_file() and meta.is_file()):
-        child = multiprocessing.get_context("spawn").Process(
+        child = multiprocessing.get_context("fork").Process(
             target=_render_library,
             args=(cache_dir, stem, models_per_class, views_per_model),
         )

@@ -28,6 +28,27 @@ def _import_program() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 
+def stop_children() -> None:
+    """Stop and reap every process the run started, on every path out.
+
+    Shard workers and gate processes are joined by the code that starts
+    them; this catches a set-up or phase that raised half-way.  The
+    resource tracker and fork server, which spawn-style multiprocessing
+    starts on demand, would otherwise outlive the run until they noticed
+    its exit; their private ``_stop`` closes their pipe and waits for them.
+    """
+    import multiprocessing
+    from multiprocessing import forkserver, resource_tracker
+
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+    for child in children:
+        child.join()
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
+
+
 def result_line(result, trace: bool) -> str:
     from perfbench.workloads import END_TO_END_UNITS, PER_LAYER_UNITS
 
@@ -53,7 +74,8 @@ def report_lines(name: str, result, trace: bool) -> list[str]:
     lines = [
         f"workload {name}: {s['attempted']} attempted, {s['samples']} latency samples, "
         f"error_rate {s['error_rate']:.6f} (failed+rejected+degraded {s['failed']})",
-        f"  p99 latency over the whole phase {s['latency_p99_ms_whole']:.6g} ms",
+        f"  over the whole phase: throughput {s['throughput_qps_whole']:.6g} 1/s, "
+        f"p50 latency {s['latency_p50_ms_whole']:.6g} ms, p99 latency {s['latency_p99_ms_whole']:.6g} ms",
     ]
     if s["enroll_s"] is not None:
         lines.append(f"  enroll_s {s['enroll_s']:.6f} s (median of the phase's enrollments)")
@@ -80,7 +102,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload {args.workload!r}; known: {', '.join(WORKLOADS)}")
     if args.seconds <= 0:
         parser.error("--seconds must be > 0")
-    result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace), ROOT)
+    try:
+        result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace), ROOT)
+    finally:
+        stop_children()
     for line in report_lines(args.workload, result, bool(args.trace)):
         print(line)
     print(result_line(result, bool(args.trace)), flush=True)

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import re
 import shutil
 import subprocess
 import sys
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,13 @@ def _run(name, tmp_path, trace=False, seconds=0.4):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_every_workload_runs_and_passes_the_gate(name, tmp_path, enroll_twice):
+    tracker = resource_tracker._resource_tracker
+    tracking = tracker._pid
     result = _run(name, tmp_path, trace=True)
+    # Every process the run started has ended, and no helper process that
+    # would outlive it was started (the fleet workloads render first).
+    assert multiprocessing.active_children() == []
+    assert tracker._pid == tracking
     assert result.problems == []
     assert result.correct
     assert result.attempted >= 1
@@ -59,7 +67,8 @@ def test_every_benchmark_metric_is_printed_with_a_unit(tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert [m["name"] for m in spec["end_to_end"]] == list(END_TO_END_UNITS)
     assert [m["name"] for m in spec["per_layer"]] == list(PER_LAYER_UNITS)
-    assert {w["name"]: w["why"] for w in spec["workloads"]} == {n: w.why for n, w in WORKLOADS.items()}
+    for listed in spec["workloads"]:
+        assert WORKLOADS[listed["name"]].why == listed["why"]
     for trace, section in ((False, "end_to_end"), (True, "per_layer")):
         result = _run("stream-82", tmp_path, trace=trace)
         printed = json.loads(run.result_line(result, trace))
