@@ -170,7 +170,8 @@ class ServingSettings:
     service's fallback stage rather than running late.  ``max_attempts``
     bounds per-request prediction attempts when a request is isolated after
     a batch failure (same semantics as the engine's
-    :class:`~repro.engine.faults.RetryPolicy`).
+    :class:`~repro.engine.faults.RetryPolicy`); it applies to the in-process
+    service only — the sharded service does not retry.
 
     The resilience knobs tune the sharded service's fault handling:
     ``hedge_after_ms`` (``None`` = hedging off) is how long a scatter waits

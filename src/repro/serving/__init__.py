@@ -23,7 +23,9 @@ kernels through dynamic micro-batching.
 * :mod:`~repro.serving.shards` — multi-process fan-out: class-aligned
   reference shards served by worker processes attached zero-copy to a
   memory-mapped :mod:`repro.store` artifact, merged bit-identically to the
-  single-process argmin.
+  single-process argmin.  It shares the in-process service's front end and
+  replaces only how a block is answered; it does not retry (a failed
+  scatter gets one pool rebuild and replay, then degrades).
 """
 
 from __future__ import annotations

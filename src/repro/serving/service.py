@@ -22,6 +22,13 @@ Resilience composes with the PR 3 machinery rather than duplicating it:
   like the offline fallback path; only with no fallback does the caller see
   the error.
 
+The request front end — admission, the deadline sweep, completion,
+degradation, failure, shedding and the enrollment scaffolding — is written
+once, in the private ``_FrontEnd`` base class.  Both this service and
+:class:`~repro.serving.shards.ShardedRecognitionService` subclass it and
+replace only how a block of live requests is answered and how an
+enrollment is committed.
+
 The service duck-types the pipeline protocol (``predict`` / ``name``), so a
 robot patrol can submit its observations through the service unchanged —
 concurrent missions then share one warm pipeline and batch together.
@@ -32,9 +39,9 @@ from __future__ import annotations
 import hmac
 import threading
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from concurrent.futures import Future, InvalidStateError
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset, LabelledImage
@@ -96,6 +103,7 @@ def authorize_enroll(
         raise EnrollmentError(f"{service_name}: enrollment token rejected")
 
 
+@dataclass(eq=False, slots=True)
 class _PendingRequest:
     """One admitted request: the query, its future, and its time budget.
 
@@ -104,60 +112,49 @@ class _PendingRequest:
     queued request instead of being rejected.
     """
 
-    __slots__ = ("query", "future", "enqueued_at", "deadline", "index", "priority")
-
-    def __init__(
-        self,
-        query: LabelledImage,
-        enqueued_at: float,
-        deadline: float | None,
-        index: int,
-        priority: int = 0,
-    ) -> None:
-        self.query = query
-        self.future: Future = Future()
-        self.enqueued_at = enqueued_at
-        self.deadline = deadline
-        self.index = index
-        self.priority = priority
+    query: LabelledImage
+    enqueued_at: float
+    deadline: float | None
+    index: int
+    priority: int = 0
+    future: Future = field(default_factory=Future)
 
 
-class RecognitionService:
-    """Micro-batched online recognition over one warm pipeline.
+_Service = TypeVar("_Service", bound="_FrontEnd")
 
-    *pipeline* must be fitted before :meth:`start` (use
-    :meth:`warm_start` or :meth:`PipelineRegistry.warm_start` to get both
-    fitting and cache priming done up front).  *fallback*, when given, is a
-    fitted pipeline consulted for requests the primary could not serve in
-    time or at all; its answers are flagged ``degraded``.  *retry_policy*
-    bounds per-request isolation retries after a failed batch (defaults to
-    ``settings.max_attempts`` with no backoff).
+
+class _FrontEnd:
+    """The request front end both recognition services share.
+
+    Owns admission (:meth:`submit` onto a bounded micro-batcher, rejection
+    and priority shedding), the flush-time deadline sweep, completion,
+    fallback degradation and failure — every future is settled in
+    :meth:`_settle` — and :meth:`enroll`'s token check, merge and receipt.
+    A subclass supplies :meth:`_serve_block` (answer one flush's live
+    requests), the library an enrollment merges into and its commit step,
+    plus whatever its :meth:`start` / :meth:`stop` must add.
     """
 
     def __init__(
         self,
-        pipeline: RecognitionPipeline,
-        settings: ServingSettings | None = None,
-        fallback: RecognitionPipeline | None = None,
-        retry_policy: RetryPolicy | None = None,
-        enroll_token: str | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        name: str,
+        settings: ServingSettings | None,
+        fallback: RecognitionPipeline | None,
+        enroll_token: str | None,
+        clock: Callable[[], float],
     ) -> None:
-        self.pipeline = pipeline
+        self.name = name
         self.settings = settings or ServingSettings()
         self.fallback = fallback
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=self.settings.max_attempts
-        )
-        self.name = f"serving({getattr(pipeline, 'name', 'pipeline')})"
         self.stats = ServiceStats()
         self._clock = clock
         self._ready = False
         self._admitted = 0
         self._enroll_token = enroll_token
-        self._enrollments = 0
-        # Serializes enrollments: each one quiesces and refits the pipeline.
+        # Serializes enrollments (each one quiesces or swaps the library)
+        # and guards the count of committed ones.
         self._enroll_lock = threading.Lock()
+        self._enrollments = 0
         # Guards the admission counter: submit() runs on arbitrary client
         # threads, and a bare `self._admitted += 1` would hand two concurrent
         # requests the same index (found by reprolint LCK302).
@@ -175,39 +172,6 @@ class RecognitionService:
             clock=self._clock,
         )
 
-    @classmethod
-    def warm_start(
-        cls,
-        name: str,
-        references: ImageDataset,
-        registry: "PipelineRegistry | None" = None,
-        config: ExperimentConfig | None = None,
-        fallback: str | None = None,
-        settings: ServingSettings | None = None,
-        retry_policy: RetryPolicy | None = None,
-    ) -> "RecognitionService":
-        """A started service over the registry pipeline *name*.
-
-        The pipeline (and the optional *fallback*, another registry name) is
-        fitted, cache-primed and probed before the service reports ready, so
-        the first real request pays no cold-start cost.
-        """
-        from repro.serving.registry import default_registry
-
-        registry = registry or default_registry()
-        pipeline = registry.warm_start(name, references, config)
-        fallback_pipeline = (
-            registry.warm_start(fallback, references, config)
-            if fallback is not None
-            else None
-        )
-        return cls(
-            pipeline,
-            settings=settings,
-            fallback=fallback_pipeline,
-            retry_policy=retry_policy,
-        ).start()
-
     @property
     def ready(self) -> bool:
         """Whether the service is warm and accepting requests."""
@@ -218,11 +182,8 @@ class RecognitionService:
         """Requests currently waiting for a flush."""
         return self._batcher.depth
 
-    def start(self) -> "RecognitionService":
-        """Verify warm state and start the flush thread; returns self."""
-        self.pipeline.references  # raises PipelineError when never fitted
-        if self.fallback is not None:
-            self.fallback.references
+    def start(self: _Service) -> _Service:
+        """Start the flush thread and open admission; returns self."""
         self._batcher.start()
         self._ready = True
         return self
@@ -233,7 +194,7 @@ class RecognitionService:
         self._ready = False
         self._batcher.stop(drain=drain)
 
-    def __enter__(self) -> "RecognitionService":
+    def __enter__(self: _Service) -> _Service:
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
@@ -244,12 +205,13 @@ class RecognitionService:
         query: LabelledImage,
         deadline_ms: float | None = None,
         priority: int = 0,
-    ) -> Future:
+    ) -> "Future[Prediction]":
         """Admit one query; returns a future resolving to its Prediction.
 
         Raises :class:`~repro.errors.ServiceOverloaded` when the admission
         queue is full (and nothing queued ranks strictly below *priority* —
-        otherwise the cheapest queued request is shed to make room) and
+        otherwise the cheapest queued request is shed to make room, resolved
+        with :class:`~repro.errors.ServiceOverloaded`) and
         :class:`~repro.errors.ServiceNotReady` before :meth:`start` / after
         :meth:`stop`.  *deadline_ms* overrides the settings default; an
         expired request is served by the fallback (degraded) or fails with
@@ -304,11 +266,11 @@ class RecognitionService:
 
         Authenticated by the constructor's *enroll_token* (enrollment is
         rejected with :class:`~repro.errors.EnrollmentError` when no token
-        is configured or *token* mismatches).  The single-process service
-        has no artifact epochs, so the merge is a quiesce-and-refit: the
-        admission queue drains against the old library — every in-flight
-        request keeps its old-library champion — then the pipeline (and
-        fallback) refit on the merged dataset and admission reopens.
+        is configured or *token* mismatches).  Enrollments are serialized:
+        each merges *additions* into the served library and hands the
+        merged dataset to the service's commit step — a quiesce-and-refit
+        in process, a store republish plus hot-swap when sharded — under
+        which every in-flight request keeps its old-library champion.
         """
         authorize_enroll(self.name, self._enroll_token, token)
         from repro.openset.enroll import merge_enrollment
@@ -316,7 +278,7 @@ class RecognitionService:
         additions = list(additions)
         with self._enroll_lock:
             started = self._clock()
-            references = self.pipeline.references
+            references = self._enroll_references()
             known = set(references.labels)
             merged = merge_enrollment(references, additions)
             new_classes = tuple(
@@ -324,23 +286,31 @@ class RecognitionService:
                     item.label for item in additions if item.label not in known
                 )
             )
-            self.stop(drain=True)
-            self.pipeline.fit(merged)
-            if self.fallback is not None:
-                self.fallback.fit(merged)
-            self._batcher = self._new_batcher()
-            self.start()
+            old_version, new_version, epoch, features, matrices = (
+                self._commit_enrollment(merged)
+            )
             self._enrollments += 1
             return EnrollReport(
                 views_added=len(additions),
                 new_classes=new_classes,
-                old_version=references.name,
-                new_version=merged.name,
-                epoch=self._enrollments,
-                invalidated_features=0,
-                invalidated_matrices=0,
+                old_version=old_version,
+                new_version=new_version,
+                epoch=epoch,
+                invalidated_features=features,
+                invalidated_matrices=matrices,
                 latency_s=self._clock() - started,
             )
+
+    def _enroll_references(self) -> ImageDataset:
+        """The pixel-bearing library an enrollment merges into."""
+        raise NotImplementedError
+
+    def _commit_enrollment(
+        self, merged: ImageDataset
+    ) -> tuple[str, str, int, int, int]:
+        """Put *merged* live; returns ``(old_version, new_version, epoch,
+        invalidated_features, invalidated_matrices)`` for the receipt."""
+        raise NotImplementedError
 
     # -- flush path (micro-batcher thread) -----------------------------------
 
@@ -360,48 +330,32 @@ class RecognitionService:
                 )
             else:
                 live.append(request)
-        if not live:
-            return
-        try:
-            predictions = self.pipeline.predict_batch(
-                [request.query for request in live]
-            )
-        except Exception:
-            # Some query broke the block: isolate request-by-request so one
-            # bad input degrades one answer, not the whole batch.
-            for request in live:
-                self._serve_isolated(request)
-        else:
-            # Happy path: wake every waiter first, then record the whole
-            # batch's latencies under one stats lock acquisition.
-            done = self._clock()
-            for request, prediction in zip(live, predictions):
-                try:
-                    request.future.set_result(prediction)
-                except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-                    pass
-            self.stats.record_completed_many(
-                [done - request.enqueued_at for request in live]
-            )
+        if live:
+            self._serve_block(live)
 
-    def _serve_isolated(self, request: _PendingRequest) -> None:
-        """One request under the retry policy, then the fallback chain."""
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                prediction = self.pipeline.predict(request.query)
-            except Exception as exc:
-                if policy.should_retry(exc, attempt):
-                    delay = policy.delay(attempt, request.index)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self._serve_degraded(request, exc)
-                return
-            self._resolve(request, prediction)
-            return
+    def _serve_block(self, live: list[_PendingRequest]) -> None:
+        """Answer one flush's unexpired requests: each through
+        :meth:`_complete` or :meth:`_serve_degraded`."""
+        raise NotImplementedError
+
+    def _complete(
+        self, requests: Sequence[_PendingRequest], predictions: Sequence[Prediction]
+    ) -> None:
+        """Settle a block's answers, then count each by its own flag.
+
+        Each waiter wakes as its answer settles; the plain answers'
+        latencies are recorded together under one stats lock acquisition,
+        so each answered flush calls ``record_completed_many`` exactly once.
+        """
+        done = self._clock()
+        plain: list[float] = []
+        for request, prediction in zip(requests, predictions):
+            self._settle(request, prediction)
+            if prediction.degraded:
+                self.stats.record_completed(done - request.enqueued_at, degraded=True)
+            else:
+                plain.append(done - request.enqueued_at)
+        self.stats.record_completed_many(plain)
 
     def _serve_degraded(
         self, request: _PendingRequest, cause: BaseException, expired: bool = False
@@ -415,29 +369,16 @@ class RecognitionService:
         except Exception as fallback_exc:
             self._fail(request, fallback_exc, expired=expired)
             return
-        self._resolve(request, replace(prediction, degraded=True), expired=expired)
-
-    def _resolve(
-        self, request: _PendingRequest, prediction: Prediction, expired: bool = False
-    ) -> None:
         self.stats.record_completed(
-            self._clock() - request.enqueued_at,
-            degraded=getattr(prediction, "degraded", False),
-            expired=expired,
+            self._clock() - request.enqueued_at, degraded=True, expired=expired
         )
-        try:
-            request.future.set_result(prediction)
-        except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-            pass
+        self._settle(request, replace(prediction, degraded=True))
 
     def _fail(
         self, request: _PendingRequest, exc: BaseException, expired: bool = False
     ) -> None:
         self.stats.record_failed(expired=expired)
-        try:
-            request.future.set_exception(exc)
-        except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-            pass
+        self._settle(request, exc)
 
     def _discard(self, request: _PendingRequest) -> None:
         """A non-draining stop dropped this queued request."""
@@ -455,3 +396,152 @@ class RecognitionService:
                 f"higher-priority traffic (priority {request.priority})"
             ),
         )
+
+    @staticmethod
+    def _settle(
+        request: _PendingRequest, outcome: Prediction | BaseException
+    ) -> None:
+        """Resolve *request*'s future with an answer or an error."""
+        try:
+            if isinstance(outcome, BaseException):
+                request.future.set_exception(outcome)
+            else:
+                request.future.set_result(outcome)
+        except InvalidStateError:
+            pass  # the caller cancelled or abandoned the future
+
+
+class RecognitionService(_FrontEnd):
+    """Micro-batched online recognition over one warm pipeline.
+
+    *pipeline* must be fitted before :meth:`start` (use
+    :meth:`warm_start` or :meth:`PipelineRegistry.warm_start` to get both
+    fitting and cache priming done up front).  *fallback*, when given, is a
+    fitted pipeline consulted for requests the primary could not serve in
+    time or at all; its answers are flagged ``degraded``.  *retry_policy*
+    bounds per-request isolation retries after a failed batch (defaults to
+    ``settings.max_attempts`` with no backoff).
+    """
+
+    def __init__(
+        self,
+        pipeline: RecognitionPipeline,
+        settings: ServingSettings | None = None,
+        fallback: RecognitionPipeline | None = None,
+        retry_policy: RetryPolicy | None = None,
+        enroll_token: str | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(
+            f"serving({getattr(pipeline, 'name', 'pipeline')})",
+            settings,
+            fallback,
+            enroll_token,
+            clock,
+        )
+        self.pipeline = pipeline
+        self.retry_policy = retry_policy or RetryPolicy(
+            max_attempts=self.settings.max_attempts
+        )
+
+    @classmethod
+    def warm_start(
+        cls,
+        name: str,
+        references: ImageDataset,
+        registry: "PipelineRegistry | None" = None,
+        config: ExperimentConfig | None = None,
+        fallback: str | None = None,
+        settings: ServingSettings | None = None,
+        retry_policy: RetryPolicy | None = None,
+    ) -> "RecognitionService":
+        """A started service over the registry pipeline *name*.
+
+        The pipeline (and the optional *fallback*, another registry name) is
+        fitted, cache-primed and probed before the service reports ready, so
+        the first real request pays no cold-start cost.
+        """
+        from repro.serving.registry import default_registry
+
+        registry = registry or default_registry()
+        pipeline = registry.warm_start(name, references, config)
+        fallback_pipeline = (
+            registry.warm_start(fallback, references, config)
+            if fallback is not None
+            else None
+        )
+        return cls(
+            pipeline,
+            settings=settings,
+            fallback=fallback_pipeline,
+            retry_policy=retry_policy,
+        ).start()
+
+    def start(self) -> "RecognitionService":
+        """Verify warm state and start the flush thread; returns self."""
+        self.pipeline.references  # raises PipelineError when never fitted
+        if self.fallback is not None:
+            self.fallback.references
+        return super().start()
+
+    # -- online enrollment ----------------------------------------------------
+
+    def _enroll_references(self) -> ImageDataset:
+        return self.pipeline.references
+
+    def _commit_enrollment(
+        self, merged: ImageDataset
+    ) -> tuple[str, str, int, int, int]:
+        """Quiesce and refit.
+
+        The single-process service has no artifact epochs: the admission
+        queue drains against the old library, then the pipeline (and
+        fallback) refit on *merged* and admission reopens.  The receipt's
+        versions are dataset names and its epoch counts enrollments.
+        """
+        old_version = self.pipeline.references.name
+        self.stop(drain=True)
+        self.pipeline.fit(merged)
+        if self.fallback is not None:
+            self.fallback.fit(merged)
+        self._batcher = self._new_batcher()
+        self.start()
+        return old_version, merged.name, self._enrollments + 1, 0, 0
+
+    # -- flush path (micro-batcher thread) -----------------------------------
+
+    def _serve_block(self, live: list[_PendingRequest]) -> None:
+        """One vectorized ``predict_batch`` over the block."""
+        try:
+            predictions = self.pipeline.predict_batch(
+                [request.query for request in live]
+            )
+        except Exception:
+            # Some query broke the block: isolate request-by-request so one
+            # bad input degrades one answer, not the whole batch.
+            answered: list[_PendingRequest] = []
+            predictions = []
+            for request in live:
+                try:
+                    predictions.append(self._predict_with_retries(request))
+                except Exception as exc:
+                    self._serve_degraded(request, exc)
+                else:
+                    answered.append(request)
+            live = answered
+        self._complete(live, predictions)
+
+    def _predict_with_retries(self, request: _PendingRequest) -> Prediction:
+        """One request's scalar ``predict`` under the retry policy."""
+        policy = self.retry_policy
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                return self.pipeline.predict(request.query)
+            except Exception as exc:
+                if not policy.should_retry(exc, attempt):
+                    raise
+                delay = policy.delay(attempt, request.index)
+                if delay > 0:
+                    time.sleep(delay)

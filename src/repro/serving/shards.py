@@ -1,13 +1,15 @@
 """Multi-process serving shards over a memory-mapped reference store.
 
-:class:`ShardedRecognitionService` scales the single-process
-:class:`~repro.serving.service.RecognitionService` out to worker
+:class:`ShardedRecognitionService` scales recognition out to worker
 *processes*: the reference library is split into contiguous row ranges
 (:func:`plan_shards`, aligned to class boundaries so each shard owns whole
 class namespaces), every worker process attaches its range of the shared
 :class:`~repro.store.attach.ReferenceStore` zero-copy, and each admitted
 micro-batch is scattered to all shards and merged by a tie-rule-preserving
-reduction.
+reduction.  The service shares the in-process
+:class:`~repro.serving.service.RecognitionService`'s front end — admission,
+deadlines, degradation, shedding and the enrollment scaffolding — and
+replaces only how a block of live requests is answered.
 
 Why this is *bit-identical* to the single-process path: every scoring
 kernel is row-independent per reference view, so a worker scoring rows
@@ -47,7 +49,9 @@ process backend: a :class:`~concurrent.futures.process.BrokenProcessPool`
 (a worker died mid-batch) rebuilds the pool once and replays the batch —
 scoring is deterministic and read-only, so replay is safe; if the replay
 fails too, the batch degrades through the configured fallback pipeline
-(flagged ``degraded``) rather than erroring every caller.
+(flagged ``degraded``) rather than erroring every caller.  The sharded
+service does not retry beyond that one replay:
+``ServingSettings.max_attempts`` applies to the in-process service only.
 """
 
 from __future__ import annotations
@@ -56,30 +60,24 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset, LabelledImage
 from repro.engine.chaos import ShardChaos, apply_shard_chaos
-from repro.engine.faults import RetryPolicy
 from repro.errors import (
     CalibrationError,
-    DeadlineExceeded,
     EnrollmentError,
     ReproError,
-    ServiceNotReady,
-    ServiceOverloaded,
     ServingError,
     StoreError,
     SwapError,
 )
 from repro.index.twostage import validate_shortlist
 from repro.pipelines.base import Prediction, RecognitionPipeline
-from repro.serving.batcher import MicroBatcher
 from repro.serving.health import HealthPolicy, ShardHealth
-from repro.serving.service import EnrollReport, _PendingRequest, authorize_enroll
-from repro.serving.stats import ServiceStats, ServingReport
+from repro.serving.service import _FrontEnd
 from repro.store.attach import ReferenceStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,7 +172,6 @@ class ShardTask:
     start: int
     stop: int
     #: Two-stage retrieval shortlist size; ``None`` serves brute force.
-    #: Appended with a default so pre-index ShardTasks stay constructible.
     shortlist_k: int | None = None
     #: Service artifact epoch, bumped by live hot-swaps: the memo key
     #: changes so workers re-attach, and the front-end tracks in-flight
@@ -323,19 +320,24 @@ def merge_champions(
     return merged
 
 
-class ShardedRecognitionService:
+class ShardedRecognitionService(_FrontEnd):
     """Micro-batched recognition fanned out over shard worker processes.
 
     *pipeline_name* must be a default-registry pipeline with a per-view
     batch scoring path (the matching families; the hybrid is served in its
     weighted-sum strategy).  Workers attach the published *store_dir*
-    version zero-copy; the front-end keeps only the admission queue, the
-    deadline/fallback machinery, the shard health board and the merge —
-    reference matrices live in the workers' shared page cache.
+    version zero-copy; the front-end process keeps only the admission
+    queue, the deadline/fallback machinery, the shard health board and the
+    merge — reference matrices live in the workers' shared page cache.
 
-    The submit/recognize/report surface mirrors
-    :class:`~repro.serving.service.RecognitionService`, so the load
-    generator drives either interchangeably.  *chaos* attaches a seeded
+    The submit/recognize/report surface, deadlines, fallback degradation,
+    shedding and enrollment scaffolding are the in-process
+    :class:`~repro.serving.service.RecognitionService`'s own front end, so
+    the load generator drives either interchangeably; this class replaces
+    only how a block is answered (epoch snapshot, scatter/gather, merge,
+    thresholds) and how an enrollment is committed.  It does not retry: a
+    failed scatter gets one pool rebuild and replay, then degrades through
+    *fallback*.  *chaos* attaches a seeded
     :class:`~repro.engine.chaos.ShardChaos` fault plan to every worker
     dispatch (test/soak harnesses only).
     """
@@ -348,7 +350,6 @@ class ShardedRecognitionService:
         settings: ServingSettings | None = None,
         config: ExperimentConfig | None = None,
         fallback: RecognitionPipeline | None = None,
-        retry_policy: RetryPolicy | None = None,
         store_version: str | None = None,
         shortlist_k: int | None = None,
         chaos: ShardChaos | None = None,
@@ -364,17 +365,16 @@ class ShardedRecognitionService:
                 validate_shortlist(shortlist_k)
             except ReproError as exc:
                 raise ServingError(str(exc)) from exc
-        self.settings = settings or ServingSettings()
+        super().__init__(
+            f"sharded-serving({pipeline_name}x{workers})",
+            settings,
+            fallback,
+            enroll_token,
+            clock,
+        )
         self.config = config or ExperimentConfig()
         self.pipeline_name = pipeline_name
-        self.fallback = fallback
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=self.settings.max_attempts
-        )
-        self.name = f"sharded-serving({pipeline_name}x{workers})"
-        self.stats = ServiceStats()
         self.chaos = chaos
-        self._clock = clock
         self._requested_workers = workers
         store = ReferenceStore.attach(store_dir, version=store_version)
         self.store_dir = str(store_dir)
@@ -405,11 +405,6 @@ class ShardedRecognitionService:
         self._health: tuple[ShardHealth, ...] = tuple(
             ShardHealth(self._health_policy) for _ in self.shards
         )
-        self._ready = False
-        self._admitted = 0
-        # Same discipline as RecognitionService: submit() runs on arbitrary
-        # client threads, so the admission counter increments under a lock.
-        self._admit_lock = threading.Lock()
         # Guards pool teardown/rebuild: the flush thread may replace a broken
         # pool while stop() shuts it down.
         self._pool_lock = threading.Lock()
@@ -417,11 +412,9 @@ class ShardedRecognitionService:
         self._pool_rebuilds = 0
         # Online enrollment state: the pixel-bearing reference dataset the
         # store was built from (store rows are image-free, so a republish
-        # needs the real dataset), the HMAC-compared token gating enroll(),
-        # and the calibrated rejection threshold applied post-merge.
+        # needs the real dataset), and the calibrated rejection threshold
+        # applied post-merge.
         self._references = references
-        self._enroll_token = enroll_token
-        self._enroll_lock = threading.Lock()
         self._threshold_model: "ThresholdModel | None" = None
         if threshold_model is not None:
             self.attach_thresholds(threshold_model)
@@ -432,15 +425,6 @@ class ShardedRecognitionService:
         self._rescue_pipelines: dict[
             tuple[str, int, int], RecognitionPipeline
         ] = {}
-        self._batcher = MicroBatcher(
-            self._flush,
-            max_batch_size=self.settings.max_batch_size,
-            max_wait_ms=self.settings.max_wait_ms,
-            max_queue_depth=self.settings.max_queue_depth,
-            on_discard=self._discard,
-            on_shed=self._shed,
-            clock=clock,
-        )
 
     def _probe_registry_pipeline(self) -> None:
         """Fail fast on pipelines the scatter-gather merge cannot serve."""
@@ -485,16 +469,6 @@ class ShardedRecognitionService:
     # -- lifecycle ------------------------------------------------------------
 
     @property
-    def ready(self) -> bool:
-        """Whether the service is warm and accepting requests."""
-        return self._ready and self._batcher.running
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a flush."""
-        return self._batcher.depth
-
-    @property
     def pool_rebuilds(self) -> int:
         """Times a broken worker pool was replaced mid-run."""
         with self._pool_lock:
@@ -533,77 +507,15 @@ class ShardedRecognitionService:
         warmups = [pool.submit(_score_shard, task, [], "warm") for task in tasks]
         for future in warmups:
             future.result()
-        self._batcher.start()
-        self._ready = True
-        return self
+        return super().start()
 
     def stop(self, drain: bool = True) -> None:
         """Stop admission, flush or discard the queue, shut the pool down."""
-        self._ready = False
-        self._batcher.stop(drain=drain)
+        super().stop(drain=drain)
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ShardedRecognitionService":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # -- admission ------------------------------------------------------------
-
-    def submit(
-        self,
-        query: LabelledImage,
-        deadline_ms: float | None = None,
-        priority: int = 0,
-    ) -> "Future[Prediction]":
-        """Admit one query; returns a future resolving to its Prediction.
-
-        *priority* ranks the request for load shedding: when the admission
-        queue is full, a strictly higher-priority arrival evicts the
-        cheapest queued request (resolved with
-        :class:`~repro.errors.ServiceOverloaded`) instead of being
-        rejected itself.
-        """
-        if not self._ready:
-            raise ServiceNotReady(f"{self.name}: service is not running")
-        if deadline_ms is None:
-            deadline_ms = self.settings.deadline_ms
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ServingError(f"deadline_ms must be > 0, got {deadline_ms}")
-        now = self._clock()
-        with self._admit_lock:
-            index = self._admitted
-            self._admitted += 1
-        request = _PendingRequest(
-            query=query,
-            enqueued_at=now,
-            deadline=now + deadline_ms / 1000.0 if deadline_ms is not None else None,
-            index=index,
-            priority=priority,
-        )
-        try:
-            depth = self._batcher.submit(request, priority=priority)
-        except ServingError:
-            self.stats.record_rejected()
-            raise
-        self.stats.record_submitted(depth)
-        return request.future
-
-    def recognize(
-        self, query: LabelledImage, deadline_ms: float | None = None
-    ) -> Prediction:
-        """Blocking submit-and-wait — the single-caller convenience path."""
-        return self.submit(query, deadline_ms=deadline_ms).result()
-
-    predict = recognize
-
-    def report(self) -> ServingReport:
-        """Current service-level statistics snapshot."""
-        return self.stats.snapshot(queue_depth=self._batcher.depth)
 
     def health_report(self) -> dict[str, dict]:
         """Per-shard health snapshots, keyed by ``"start:stop"`` row range."""
@@ -798,112 +710,76 @@ class ShardedRecognitionService:
                 families.append(shard.namespace)
         return tuple(dict.fromkeys(families))
 
-    def enroll(
-        self, additions: Sequence[LabelledImage], token: str | None = None
-    ) -> EnrollReport:
-        """Teach the live service new reference views (or whole classes).
+    def _enroll_references(self) -> ImageDataset:
+        """The pixel-bearing *references* (store rows are image-free)."""
+        if self._references is None:
+            raise EnrollmentError(
+                f"{self.name}: no reference dataset attached — construct "
+                "the service with references=<ImageDataset> to enroll"
+            )
+        return self._references
 
-        Authenticated by the constructor's *enroll_token* and gated on the
-        pixel-bearing *references* dataset (store rows are image-free, so
-        republish needs the real dataset).  The merged library is built as
-        a fresh content-addressed store version and committed through
+    def _commit_enrollment(
+        self, merged: ImageDataset
+    ) -> tuple[str, str, int, int, int]:
+        """Republish *merged* as a new store version and hot-swap onto it.
+
+        The new content-addressed version is committed through
         :meth:`swap_store`'s verify-then-commit epoch machinery: in-flight
         flushes drain against the old version — every pre-existing-class
         request keeps its old champion bit-for-bit — while new admissions
-        scatter against the enrolled one.  On commit the republished
-        feature namespaces are invalidated from the process-wide caches
-        (exactly the shape/colour namespaces the store carries), and any
-        build or swap failure raises
-        :class:`~repro.errors.EnrollmentError` with the old epoch still
-        serving.
+        scatter against the enrolled one.  On commit the republished feature
+        namespaces are invalidated from the process-wide caches (exactly the
+        shape/colour namespaces the store carries), and any build or swap
+        failure raises :class:`~repro.errors.EnrollmentError` with the old
+        epoch still serving.
         """
-        authorize_enroll(self.name, self._enroll_token, token)
         from repro.engine.cache import default_cache, default_matrix_cache
-        from repro.openset.enroll import merge_enrollment
         from repro.store.builder import build_store
 
-        additions = list(additions)
-        with self._enroll_lock:
-            started = self._clock()
-            references = self._references
-            if references is None:
-                raise EnrollmentError(
-                    f"{self.name}: no reference dataset attached — construct "
-                    "the service with references=<ImageDataset> to enroll"
-                )
-            store = ReferenceStore.attach(self.store_dir, version=self.store_version)
-            known = set(references.labels)
-            merged = merge_enrollment(references, additions)
-            new_classes = tuple(
-                dict.fromkeys(
-                    item.label for item in additions if item.label not in known
-                )
+        store = ReferenceStore.attach(self.store_dir, version=self.store_version)
+        old_version = self.store_version
+        try:
+            result = build_store(
+                merged,
+                self.store_dir,
+                bins=store.manifest.histogram_bins,
+                families=self._store_families(store),
             )
-            old_version = self.store_version
-            bins = store.manifest.histogram_bins
-            try:
-                result = build_store(
-                    merged,
-                    self.store_dir,
-                    bins=bins,
-                    families=self._store_families(store),
-                )
-                swap = self.swap_store(version=result.store_version, verify="full")
-            except (ReproError, SwapError) as exc:
-                raise EnrollmentError(
-                    f"{self.name}: enrollment republish failed, old library "
-                    f"({old_version}) kept serving: {exc}"
-                ) from exc
-            # The republished namespaces now have more rows than any cached
-            # (V, D) stack; drop exactly those namespaces so the next fit
-            # or rescue attach rebuilds against the enrolled library.
-            namespaces = [shard.namespace for shard in result.manifest.shards]
-            feature_cache = default_cache()
-            matrix_cache = default_matrix_cache()
-            invalidated_features = sum(
-                feature_cache.invalidate_namespace(namespace)
-                for namespace in namespaces
-            )
-            invalidated_matrices = sum(
-                matrix_cache.invalidate_namespace(namespace)
-                for namespace in namespaces
-            )
-            self._references = merged
-            return EnrollReport(
-                views_added=len(additions),
-                new_classes=new_classes,
-                old_version=old_version,
-                new_version=swap.new,
-                epoch=swap.epoch,
-                invalidated_features=invalidated_features,
-                invalidated_matrices=invalidated_matrices,
-                latency_s=self._clock() - started,
-            )
+            swap = self.swap_store(version=result.store_version, verify="full")
+        except (ReproError, SwapError) as exc:
+            raise EnrollmentError(
+                f"{self.name}: enrollment republish failed, old library "
+                f"({old_version}) kept serving: {exc}"
+            ) from exc
+        # The republished namespaces now have more rows than any cached
+        # (V, D) stack; drop exactly those namespaces so the next fit
+        # or rescue attach rebuilds against the enrolled library.
+        namespaces = [shard.namespace for shard in result.manifest.shards]
+        feature_cache = default_cache()
+        matrix_cache = default_matrix_cache()
+        features = sum(
+            feature_cache.invalidate_namespace(namespace)
+            for namespace in namespaces
+        )
+        matrices = sum(
+            matrix_cache.invalidate_namespace(namespace)
+            for namespace in namespaces
+        )
+        self._references = merged
+        return old_version, swap.new, swap.epoch, features, matrices
 
     # -- flush path (micro-batcher thread) ------------------------------------
 
-    def _flush(self, requests: list[_PendingRequest]) -> None:
-        self.stats.record_batch(len(requests))
-        now = self._clock()
-        live: list[_PendingRequest] = []
-        for request in requests:
-            if request.deadline is not None and now > request.deadline:
-                self._serve_degraded(
-                    request,
-                    DeadlineExceeded(
-                        f"{self.name}: request deadline elapsed before its "
-                        f"batch ran (queued {now - request.enqueued_at:.3f}s)"
-                    ),
-                    expired=True,
-                )
-            else:
-                live.append(request)
-        if not live:
-            return
+    def _serve_block(self, live: list) -> None:
+        """Scatter the block over the current epoch's shards and merge.
+
+        The epoch's tasks and health board are snapshotted atomically and
+        this flush counts in flight against that epoch until every future
+        of the block is settled, so a concurrent swap can commit at once
+        and :meth:`wait_drained` observes the drain.
+        """
         queries = [request.query for request in live]
-        # Snapshot the epoch's tasks and health board atomically and count
-        # this flush in flight against that epoch, so a concurrent swap can
-        # commit immediately and observe the drain.
         with self._state_lock:
             epoch = self._epoch
             tasks = self._tasks
@@ -922,45 +798,24 @@ class ShardedRecognitionService:
                 # the whole batch is safe and cheap.  The replay key is a
                 # non-primary leg: a scheduled chaos kill does not re-fire.
                 self._rebuild_pool()
-                try:
-                    champions, flagged = self._scatter_gather(
-                        tasks, board, queries, dispatch_key + "r"
-                    )
-                except Exception as exc:
-                    for request in live:
-                        self._serve_degraded(request, exc)
-                    return
-            except Exception as exc:
-                for request in live:
-                    self._serve_degraded(request, exc)
-                return
-            done = self._clock()
+                champions, flagged = self._scatter_gather(
+                    tasks, board, queries, dispatch_key + "r"
+                )
+        except Exception as exc:
+            for request in live:
+                self._serve_degraded(request, exc)
+        else:
             # Snapshot once per flush: an attach/detach mid-batch must not
             # screen half the block.  Applied post-merge so the cross-shard
             # first-index tie rule is decided before any rejection.
             threshold = self._threshold_model
-            plain_latencies: list[float] = []
-            for request, champion, degraded in zip(live, champions, flagged):
-                score, _, label, model_id = champion
-                prediction = Prediction(
-                    label=label,
-                    model_id=model_id,
-                    score=score,
-                    degraded=degraded,
-                )
-                if threshold is not None:
-                    prediction = threshold.apply(prediction)
-                try:
-                    request.future.set_result(prediction)
-                except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-                    pass
-                if degraded:
-                    self.stats.record_completed(
-                        done - request.enqueued_at, degraded=True
-                    )
-                else:
-                    plain_latencies.append(done - request.enqueued_at)
-            self.stats.record_completed_many(plain_latencies)
+            predictions = [
+                Prediction(label=label, model_id=model_id, score=score, degraded=flag)
+                for (score, _, label, model_id), flag in zip(champions, flagged)
+            ]
+            if threshold is not None:
+                predictions = [threshold.apply(p) for p in predictions]
+            self._complete(live, predictions)
         finally:
             with self._state_lock:
                 self._inflight[epoch] -= 1
@@ -1145,49 +1000,3 @@ class ShardedRecognitionService:
                 broken.shutdown(wait=False, cancel_futures=True)
             self._pool = ProcessPoolExecutor(max_workers=self._pool_size())
             self._pool_rebuilds += 1
-
-    # -- degradation ----------------------------------------------------------
-
-    def _serve_degraded(
-        self, request: _PendingRequest, cause: BaseException, expired: bool = False
-    ) -> None:
-        if self.fallback is None:
-            self._fail(request, cause, expired=expired)
-            return
-        try:
-            prediction = self.fallback.predict(request.query)
-        except Exception as fallback_exc:
-            self._fail(request, fallback_exc, expired=expired)
-            return
-        self.stats.record_completed(
-            self._clock() - request.enqueued_at, degraded=True, expired=expired
-        )
-        try:
-            request.future.set_result(replace(prediction, degraded=True))
-        except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-            pass
-
-    def _fail(
-        self, request: _PendingRequest, exc: BaseException, expired: bool = False
-    ) -> None:
-        self.stats.record_failed(expired=expired)
-        try:
-            request.future.set_exception(exc)
-        except Exception:  # reprolint: disable=RES402 -- the caller cancelled or abandoned the future
-            pass
-
-    def _discard(self, request: _PendingRequest) -> None:
-        self._fail(
-            request, ServiceNotReady(f"{self.name}: service stopped before flush")
-        )
-
-    def _shed(self, request: _PendingRequest) -> None:
-        """A higher-priority arrival evicted this queued request."""
-        self.stats.record_shed()
-        self._fail(
-            request,
-            ServiceOverloaded(
-                f"{self.name}: request shed from a full admission queue by "
-                f"higher-priority traffic (priority {request.priority})"
-            ),
-        )

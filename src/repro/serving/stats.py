@@ -51,7 +51,7 @@ class ServingReport:
     latency_p99_ms: float = 0.0
     latency_max_ms: float = 0.0
     wall_seconds: float = 0.0
-    #: Resilience counters (sharded service only; all 0 elsewhere).
+    #: Resilience counters (sharded service only, except ``shed``).
     #: ``shed`` counts lower-priority requests evicted from a full admission
     #: queue to make room; ``shard_errors`` individual shard dispatch
     #: failures (faults, crashes, corrupt attaches); ``rescued`` sub-batches
@@ -234,16 +234,13 @@ class ServiceStats:
         with self._lock:
             self._rescued += 1
 
-    def record_hedge(self, won: bool, mismatched: bool = False) -> None:
+    def record_hedge(self, won: bool) -> None:
         """One hedged re-dispatch resolved; *won* when the hedge leg's
-        result was used, *mismatched* when both legs finished and their
-        results were not bit-identical (audit counter — primary is kept)."""
+        result was used."""
         with self._lock:
             self._hedges += 1
             if won:
                 self._hedge_wins += 1
-            if mismatched:
-                self._hedge_mismatches += 1
 
     def record_hedge_mismatch(self) -> None:
         """A hedge race's losing leg disagreed bitwise with the served

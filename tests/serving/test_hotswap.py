@@ -16,13 +16,14 @@ exact across the swap.
 """
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset
 from repro.engine.cache import FeatureCache
-from repro.engine.chaos import truncate_file
+from repro.engine.chaos import ShardChaos, truncate_file
 from repro.errors import SwapError
 from repro.serving.registry import default_registry
 from repro.serving.shards import ShardedRecognitionService
@@ -145,6 +146,36 @@ class TestStoreSwap:
         service = make_service(swappable)
         with service:
             assert service.wait_drained(timeout=0.0) is True
+
+    def test_wait_drained_returns_only_after_pre_swap_futures_settle(
+        self, swappable
+    ):
+        # Flush 0 sleeps in its two workers while the swap probe runs on
+        # the spare workers, so the swap commits mid-flush.  The flush may
+        # leave its epoch only after settling its block: once wait_drained()
+        # is True, every future submitted before the swap must be done.
+        _, _, queries, _, _, _, _ = swappable
+        service = make_service(
+            swappable,
+            settings=ServingSettings(
+                max_batch_size=4,
+                max_wait_ms=5.0,
+                hedge_after_ms=60_000.0,  # never fires; sizes the spares
+                spare_workers=2,
+            ),
+            chaos=ShardChaos(slow_flushes=(0,), slow_s=2.0),
+        )
+        with service:
+            futures = [service.submit(query) for query in queries[:4]]
+            for _ in range(5000):
+                if service.queue_depth == 0:
+                    break
+                threading.Event().wait(0.001)
+            service.swap_index(4)
+            assert not any(future.done() for future in futures)
+            assert service.wait_drained(timeout=30.0) is True
+            assert all(future.done() for future in futures)
+        assert service.report().completed == 4
 
 
 class TestIndexSwap:
