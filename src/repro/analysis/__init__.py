@@ -18,13 +18,9 @@ package makes the invariants machine-checked at lint time:
   closure state mutated from worker threads need a lock.
 
 On top of the per-file families, a whole-program pass builds the
-:class:`~repro.analysis.project.ProjectGraph` (import graph, call graph
-resolved through imports, lock-acquisition graph) and runs three more:
+:class:`~repro.analysis.project.ProjectGraph` (call graph resolved through
+imports, lock-acquisition graph) and runs two more:
 
-* **dtype dataflow** (``DFA5xx``) — narrowed arrays (``astype(float32)``,
-  ``packbits``, narrow-dtype construction) traced across call edges and
-  instance attributes into the scoring kernels, which carry a float64
-  contract;
 * **lock order** (``LCK31x``) — cycles in the acquisition graph and
   non-reentrant re-acquisition along call paths (deadlocks no single file
   shows);
@@ -35,20 +31,11 @@ resolved through imports, lock-acquisition graph) and runs three more:
 Run it as ``repro lint`` (exit 0 clean / 1 findings / 2 internal error) or
 import :func:`lint_paths` / :func:`lint_source` / :func:`lint_sources` from
 tests.  False positives are suppressed in place with
-``# reprolint: disable=RULE -- reason``; pre-existing findings ride the
-committed baseline (``repro lint --baseline write|check``) which only ever
-burns down.  ``--sarif`` emits GitHub-code-scanning annotations and
-``--graph dot`` dumps the three graphs for false-positive debugging.
+``# reprolint: disable=RULE -- reason``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    BaselineCheck,
-    check_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     Finding,
@@ -60,10 +47,8 @@ from repro.analysis.core import (
 from repro.analysis.project import ProjectGraph, build_project_graph
 from repro.analysis.report import format_report, report_as_json
 from repro.analysis.runner import LintReport, lint_paths, lint_source, lint_sources
-from repro.analysis.sarif import report_as_sarif
 
 __all__ = [
-    "BaselineCheck",
     "Finding",
     "LintConfig",
     "LintReport",
@@ -72,14 +57,10 @@ __all__ = [
     "Rule",
     "RuleRegistry",
     "build_project_graph",
-    "check_baseline",
     "default_registry",
     "format_report",
-    "load_baseline",
     "report_as_json",
-    "report_as_sarif",
     "lint_paths",
     "lint_source",
     "lint_sources",
-    "write_baseline",
 ]

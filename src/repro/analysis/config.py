@@ -11,12 +11,13 @@ the module scopes of the scoped rule families::
     scoring-modules = ["repro.pipelines", "repro.imaging", "repro.neural"]
     lock-modules = ["repro.serving", "repro.engine"]
     resilience-modules = ["repro.serving", "repro.store"]
+    rng-scope-modules = ["repro.pipelines", "repro.imaging", "repro.openset"]
 """
 
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -38,12 +39,9 @@ class LintConfig:
     ``lock_modules`` scope the lock-discipline family (LCK3xx).
     ``resilience_modules`` scope the swallowed-error family (RES4xx):
     modules where every error must propagate, be recorded, or degrade
-    loudly.  ``kernel_entry_points`` name the scoring/kernel functions the
-    interprocedural dtype rules (DFA5xx) defend: any call whose bare name
-    matches is an entry into float64-contract territory.
-    ``rng_scope_modules`` root the RNG-flow rules (DET13x): an unseeded
-    generator constructed in (or reachable from) these modules taints
-    scoring, calibration or chaos results.
+    loudly.  ``rng_scope_modules`` root the RNG-flow rules (DET13x): an
+    unseeded generator constructed in (or reachable from) these modules
+    taints scoring, calibration or chaos results.
     """
 
     paths: tuple[str, ...] = ("src",)
@@ -67,16 +65,6 @@ class LintConfig:
         "repro.store",
         "repro.openset",
     )
-    kernel_entry_points: tuple[str, ...] = (
-        "match_shapes_batch",
-        "match_shapes_block",
-        "compare_histograms_batch",
-        "compare_histograms_block",
-        "hu_signature",
-        "hu_signature_matrix",
-        "_rerank_rows",
-        "_score_batch",
-    )
     rng_scope_modules: tuple[str, ...] = (
         "repro.pipelines",
         "repro.imaging",
@@ -93,7 +81,6 @@ class LintConfig:
         "scoring-modules": "scoring_modules",
         "lock-modules": "lock_modules",
         "resilience-modules": "resilience_modules",
-        "kernel-entry-points": "kernel_entry_points",
         "rng-scope-modules": "rng_scope_modules",
     }
 

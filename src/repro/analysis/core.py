@@ -134,10 +134,10 @@ class ProjectRule:
     """Base class for whole-program rules: one pass over a ProjectGraph.
 
     Where :class:`Rule` sees one parsed file, a project rule sees the
-    :class:`~repro.analysis.project.ProjectGraph` — the import, call and
-    lock graphs over every file of the run — and reports findings anchored
-    at (path, line) like any other rule, so suppressions and the baseline
-    ratchet treat them identically.  A fresh instance runs per lint.
+    :class:`~repro.analysis.project.ProjectGraph` — the call and lock
+    graphs over every file of the run — and reports findings anchored at
+    (path, line) like any other rule, so suppressions treat them
+    identically.  A fresh instance runs per lint.
     """
 
     rule_id: str = ""
@@ -233,16 +233,10 @@ class RuleRegistry:
 
 def default_registry() -> RuleRegistry:
     """The registry holding every built-in rule family."""
-    from repro.analysis.rules import (
-        concurrency,
-        dataflow,
-        determinism,
-        numeric,
-        resilience,
-    )
+    from repro.analysis.rules import concurrency, determinism, numeric, resilience
 
     registry = RuleRegistry()
-    for module in (determinism, numeric, concurrency, resilience, dataflow):
+    for module in (determinism, numeric, concurrency, resilience):
         for rule in getattr(module, "RULES", ()):
             registry.register(rule)
         for rule in getattr(module, "PROJECT_RULES", ()):

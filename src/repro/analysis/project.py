@@ -1,14 +1,12 @@
 """The whole-program layer: :class:`ProjectGraph`.
 
 The per-file rules see one tree at a time, which is exactly why they cannot
-catch the hazards the kernel-speed campaign introduces: a ``float32``
-narrowing that happens two modules away from the kernel it corrupts, or a
-pair of locks taken in opposite orders by two call paths that never share a
-file.  :class:`ProjectGraph` parses the whole ``src/repro`` tree once and
-builds three graphs on top of the shared
-:class:`~repro.analysis.core.FileContext` list:
+catch a pair of locks taken in opposite orders by two call paths that never
+share a file, or an unseeded generator constructed in one module and drawn
+by scoring code in another.  :class:`ProjectGraph` builds two graphs on top
+of the :class:`~repro.analysis.core.FileContext` list the per-file rules
+already parsed:
 
-* the **import graph** — module -> intraproject modules it imports;
 * the **call graph** — function/method qualnames -> resolved intraproject
   callees, threaded through ``import`` aliases, ``from X import Y``
   bindings, package ``__init__`` re-exports and one level of
@@ -62,13 +60,6 @@ class FunctionInfo:
     class_name: str | None
     path: str
     lineno: int
-
-    @property
-    def owner_class(self) -> str | None:
-        """``module.Class`` for methods, ``None`` for plain functions."""
-        if self.class_name is None:
-            return None
-        return f"{self.module}.{self.class_name}"
 
 
 @dataclass(frozen=True)
@@ -188,7 +179,7 @@ class _ImportMap:
 
 
 class ProjectGraph:
-    """Import, call and lock graphs over a set of parsed files.
+    """Call and lock graphs over a set of parsed files.
 
     Build it once per lint run (:func:`build_project_graph`); the project
     rules then query it.  All resolution is intraproject — names that leave
@@ -200,10 +191,9 @@ class ProjectGraph:
             ctx.module: ctx for ctx in contexts
         }
         self.functions: dict[str, FunctionInfo] = {}
-        #: qualname -> the definition's AST node (for dataflow summaries).
+        #: qualname -> the definition's AST node (for the RNG-flow rules).
         self.function_nodes: dict[str, ast.AST] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.imports: dict[str, set[str]] = {}
         self.call_edges: list[CallEdge] = []
         self.lock_sites: list[LockSite] = []
         self.lock_edges: list[LockEdge] = []
@@ -228,8 +218,6 @@ class ProjectGraph:
                 resolved = self._resolve_symbol(cls.module, factory)
                 if resolved in self.classes:
                     cls.attr_types[attr] = resolved
-        for module in self.contexts:
-            self.imports[module] = self._import_edges(module)
         for ctx in self.contexts.values():
             self._collect_calls(ctx)
         for edge in self.call_edges:
@@ -298,22 +286,6 @@ class ProjectGraph:
                             elif factory:
                                 cls.attr_factories.setdefault(attr, factory)
                 self.classes[cls.qualname] = cls
-
-    def _import_edges(self, module: str) -> set[str]:
-        """Intraproject modules *module* imports (directly)."""
-        edges: set[str] = set()
-        imap = self._import_maps[module]
-        for target in imap.module_aliases.values():
-            resolved = self._nearest_module(target)
-            if resolved is not None and resolved != module:
-                edges.add(resolved)
-        for source, symbol in imap.symbol_aliases.values():
-            resolved = self._nearest_module(f"{source}.{symbol}") or (
-                self._nearest_module(source)
-            )
-            if resolved is not None and resolved != module:
-                edges.add(resolved)
-        return edges
 
     def _nearest_module(self, dotted: str) -> str | None:
         """The longest prefix of *dotted* that is a parsed project module."""
@@ -465,7 +437,7 @@ class ProjectGraph:
         resolved = self._resolve_symbol(module, raw)
         if resolved in self.classes:
             # Calling a class constructs it; model the edge as its __init__
-            # when present so lock/dtype summaries flow through construction.
+            # when present so lock summaries flow through construction.
             return self.classes[resolved].methods.get("__init__", resolved)
         return resolved
 
@@ -632,49 +604,6 @@ class ProjectGraph:
             return "unknown"
         return cls.lock_attrs.get(attr, "unknown")
 
-    def import_cycles(self) -> list[tuple[str, ...]]:
-        """Strongly-connected components of size > 1 in the import graph.
-
-        Cycles are reported once each, rotated so the lexicographically
-        smallest module leads — stable across runs.  Self-imports (a module
-        importing itself through a re-export) come out as 1-tuples.
-        """
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        sccs: list[tuple[str, ...]] = []
-        counter = [0]
-
-        def strongconnect(module: str) -> None:
-            index[module] = lowlink[module] = counter[0]
-            counter[0] += 1
-            stack.append(module)
-            on_stack.add(module)
-            for neighbour in sorted(self.imports.get(module, ())):
-                if neighbour not in index:
-                    strongconnect(neighbour)
-                    lowlink[module] = min(lowlink[module], lowlink[neighbour])
-                elif neighbour in on_stack:
-                    lowlink[module] = min(lowlink[module], index[neighbour])
-            if lowlink[module] == index[module]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == module:
-                        break
-                if len(component) > 1:
-                    component.reverse()
-                    pivot = component.index(min(component))
-                    sccs.append(tuple(component[pivot:] + component[:pivot]))
-
-        for module in sorted(self.imports):
-            if module not in index:
-                strongconnect(module)
-        return sorted(sccs)
-
     def lock_cycles(self) -> list[tuple[LockEdge, ...]]:
         """Elementary cycles in the lock-acquisition graph.
 
@@ -732,27 +661,6 @@ class ProjectGraph:
         ]
         names += [f"{module}.<module>" for module in self.contexts if in_scope(module)]
         return sorted(names)
-
-    # -- DOT output ----------------------------------------------------------
-
-    def to_dot(self, kind: str) -> str:
-        """The requested graph (``import``/``call``/``lock``) as DOT text."""
-        if kind == "import":
-            lines = [f'  "{m}" -> "{t}";'
-                     for m in sorted(self.imports)
-                     for t in sorted(self.imports[m])]
-            return "\n".join(["digraph imports {", *lines, "}"])
-        if kind == "call":
-            pairs = sorted(
-                {(e.caller, e.callee) for e in self.call_edges if e.resolved}
-            )
-            lines = [f'  "{a}" -> "{b}";' for a, b in pairs]
-            return "\n".join(["digraph calls {", *lines, "}"])
-        if kind == "lock":
-            pairs = sorted({(e.held, e.acquired) for e in self.lock_edges})
-            lines = [f'  "{a}" -> "{b}";' for a, b in pairs]
-            return "\n".join(["digraph locks {", *lines, "}"])
-        raise ValueError(f"unknown graph kind {kind!r}")
 
 
 def build_project_graph(contexts: Sequence[FileContext]) -> ProjectGraph:

@@ -9,7 +9,7 @@ findings, 2 internal linter error.
 
 Every file is parsed exactly once: the per-file rules and the
 whole-program pass (the :class:`~repro.analysis.project.ProjectGraph` the
-DFA5xx/LCK31x/DET13x families run over) share the same
+LCK31x/DET13x families run over) share the same
 :class:`~repro.analysis.core.FileContext` list.
 """
 
@@ -164,7 +164,7 @@ def lint_source(
     """Findings (suppressions applied) for one source string.
 
     The whole-program rules run too, over a single-file graph — so
-    same-module dtype/lock/RNG flows are caught even from tests that lint
+    same-module lock/RNG flows are caught even from tests that lint
     one snippet.
     """
     return lint_sources(

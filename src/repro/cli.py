@@ -760,76 +760,24 @@ def _cmd_patrol(args: argparse.Namespace) -> str:
 
 
 def _cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
-    """Run reprolint; exit 0 clean / 1 findings / 2 internal error.
-
-    ``--baseline check`` swaps the exit-code contract to the ratchet's:
-    0 when no finding is *new* relative to the committed baseline (legacy
-    ones may remain while they burn down), 1 on any new finding.
-    """
+    """Run reprolint; exit 0 clean / 1 findings / 2 internal error."""
     from dataclasses import replace as dc_replace
 
-    from repro.analysis import (
-        LintConfig,
-        check_baseline,
-        format_report,
-        lint_paths,
-        report_as_json,
-        report_as_sarif,
-        write_baseline,
-    )
+    from repro.analysis import LintConfig, format_report, lint_paths, report_as_json
 
     try:
         config = LintConfig.from_pyproject(".")
         if args.paths:
             config = dc_replace(config, paths=tuple(args.paths))
-        if args.graph:
-            return _lint_graphs(config, args.graph), 0
         report = lint_paths(config.paths, config)
         text = (
             report_as_json(report)
             if args.format == "json"
             else format_report(report)
         )
-        code = report.exit_code
-        if args.sarif:
-            Path(args.sarif).write_text(report_as_sarif(report))
-        if args.baseline == "write":
-            count = write_baseline(report, args.baseline_path)
-            text += f"\nbaseline: wrote {count} fingerprints to {args.baseline_path}"
-            code = 2 if report.errors else 0
-        elif args.baseline == "check":
-            ratchet = check_baseline(report, args.baseline_path)
-            lines = [text, ratchet.summary()]
-            for finding in ratchet.new:
-                lines.append(
-                    f"NEW {finding.path}:{finding.line}:{finding.col} "
-                    f"{finding.rule_id} {finding.message}"
-                )
-            text = "\n".join(lines)
-            code = 2 if report.errors else ratchet.exit_code
     except Exception as exc:  # never let a linter bug look like a clean tree
         return f"lint: internal error: {exc!r}", 2
-    return text, code
-
-
-def _lint_graphs(config, kind: str) -> str:
-    """DOT dumps of the whole-program graphs (``--graph dot`` emits all)."""
-    from repro.analysis import build_project_graph
-    from repro.analysis.runner import _iter_python_files, _parse, module_name_for
-
-    contexts = []
-    for path in _iter_python_files(config.paths, config.exclude):
-        parsed = _parse(
-            path.read_text(encoding="utf-8"),
-            path.as_posix(),
-            module_name_for(path),
-            config,
-        )
-        if hasattr(parsed, "tree"):  # Finding = unparseable file, skipped
-            contexts.append(parsed)
-    graph = build_project_graph(contexts)
-    kinds = ("import", "call", "lock") if kind == "dot" else (kind,)
-    return "\n\n".join(graph.to_dot(k) for k in kinds)
+    return text, report.exit_code
 
 
 def _cmd_all(args: argparse.Namespace) -> str:
@@ -1207,34 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="lint: files/directories to check "
         "(default: [tool.reprolint] paths, then src)",
-    )
-    lint.add_argument(
-        "--baseline",
-        choices=("write", "check"),
-        default=None,
-        help="lint: ratchet mode — write fingerprints the current active "
-        "findings to the baseline file; check fails (exit 1) only on "
-        "findings not in the committed baseline",
-    )
-    lint.add_argument(
-        "--baseline-path",
-        default="reprolint-baseline.json",
-        metavar="FILE",
-        help="lint: baseline file the ratchet reads/writes",
-    )
-    lint.add_argument(
-        "--sarif",
-        default=None,
-        metavar="FILE",
-        help="lint: also write the report as SARIF 2.1.0 (GitHub code "
-        "scanning ingests it as PR annotations)",
-    )
-    lint.add_argument(
-        "--graph",
-        choices=("dot", "import", "call", "lock"),
-        default=None,
-        help="lint: skip linting and emit the whole-program graphs in DOT "
-        "format instead (dot = all three) for rule debugging",
     )
     return parser
 

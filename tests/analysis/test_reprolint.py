@@ -20,17 +20,13 @@ from repro.analysis import (
     LintReport,
     Rule,
     RuleRegistry,
-    check_baseline,
     default_registry,
     format_report,
     lint_paths,
     lint_source,
     lint_sources,
     report_as_json,
-    report_as_sarif,
-    write_baseline,
 )
-from repro.analysis.baseline import _fingerprints
 from repro.analysis.project import UNKNOWN, build_project_graph
 from repro.analysis.runner import SYNTAX_RULE_ID, _parse, module_name_for
 from repro.cli import main as cli_main
@@ -48,9 +44,6 @@ _SCOPED_MODULES = {
     "openset_threshold": "repro.openset.fake_calibration",
     "res401": "repro.store.fake_errors",
     "res402": "repro.serving.fake_errors",
-    "dfa501": "repro.pipelines.fake_rerank",
-    "dfa502": "repro.pipelines.fake_rerank",
-    "dfa503": "repro.store.fake_packed",
     "lck310": "repro.serving.fake_order",
     "lck311": "repro.serving.fake_health",
     "det131": "repro.pipelines.fake_chaos",
@@ -74,11 +67,8 @@ _EXPECTED = {
     # in PR 9, so the NUM/DET families must keep firing on threshold code.
     "openset_threshold": [("NUM203", 12), ("NUM201", 15), ("DET101", 16)],
     # Whole-program families: each bad fixture is a realistic mutant of the
-    # real code (pipeline re-rank, packed store attach, shard hot-swap,
-    # health board, chaos jitter) that only the project graph can connect.
-    "dfa501": [("DFA501", 11)],
-    "dfa502": [("DFA502", 15)],
-    "dfa503": [("DFA503", 14)],
+    # real code (shard hot-swap, health board, chaos jitter) that only the
+    # project graph can connect.
     "lck310": [("LCK310", 19)],
     "lck311": [("LCK311", 15)],
     "det131": [("DET131", 8)],
@@ -186,9 +176,6 @@ class TestRegistryAndConfig:
             "DET103",
             "DET131",
             "DET132",
-            "DFA501",
-            "DFA502",
-            "DFA503",
             "LCK301",
             "LCK302",
             "LCK303",
@@ -266,17 +253,22 @@ class TestRunner:
         assert report.files_checked == 0
 
 
+@pytest.fixture(scope="module")
+def src_report() -> LintReport:
+    """One lint of the real tree, shared by the assertions about it."""
+    config = LintConfig.from_pyproject(REPO_ROOT)
+    return lint_paths([REPO_ROOT / "src"], config=config)
+
+
 class TestTreeIsClean:
-    def test_src_has_no_active_findings(self):
-        config = LintConfig.from_pyproject(REPO_ROOT)
-        report = lint_paths([REPO_ROOT / "src"], config=config)
+    def test_src_has_no_active_findings(self, src_report):
+        report = src_report
         assert report.errors == []
         offenders = [(f.path, f.line, f.rule_id) for f in report.active]
         assert offenders == []
 
-    def test_every_suppression_in_src_states_a_reason(self):
-        config = LintConfig.from_pyproject(REPO_ROOT)
-        report = lint_paths([REPO_ROOT / "src"], config=config)
+    def test_every_suppression_in_src_states_a_reason(self, src_report):
+        report = src_report
         assert report.suppressed, "the tree documents known false positives"
         assert all(f.reason for f in report.suppressed)
 
@@ -327,15 +319,7 @@ def _graph_of(sources: dict[str, str]):
 
 
 class TestProjectGraph:
-    def test_import_cycle_is_reported_not_fatal(self):
-        graph = _graph_of(
-            {
-                "repro.a": "from repro.b import g\ndef f():\n    g()\n",
-                "repro.b": "from repro.a import f\ndef g():\n    pass\n",
-            }
-        )
-        assert ("repro.a", "repro.b") in graph.import_cycles()
-        # the cyclic project still lints without crashing
+    def test_import_cycle_is_not_fatal(self):
         assert lint_sources(
             {
                 "repro.a": "from repro.b import g\n",
@@ -397,134 +381,6 @@ class TestProjectGraph:
         assert (f"{owner}._state_lock", f"{owner}._swap_lock") in pairs
         assert len(graph.lock_cycles()) == 1
 
-    def test_dot_output_for_all_three_graphs(self):
-        graph = _graph_of(
-            {
-                "repro.util": "def helper():\n    pass\n",
-                "repro.app": "from repro.util import helper\ndef run():\n    helper()\n",
-            }
-        )
-        assert '"repro.app" -> "repro.util"' in graph.to_dot("import")
-        assert '"repro.app.run" -> "repro.util.helper"' in graph.to_dot("call")
-        assert graph.to_dot("lock").startswith("digraph locks")
-        with pytest.raises(ValueError, match="unknown graph"):
-            graph.to_dot("nonsense")
-
-
-class TestRatchet:
-    def _report_for(self, tmp_path, sources: dict[str, str]) -> LintReport:
-        root = tmp_path / "src" / "repro" / "pipelines"
-        root.mkdir(parents=True, exist_ok=True)
-        for name, text in sources.items():
-            (root / name).write_text(text)
-        return lint_paths([tmp_path / "src"])
-
-    _BAD = "import random\nx = random.random()\n"
-
-    def test_round_trip_write_then_check_is_clean(self, tmp_path):
-        report = self._report_for(tmp_path, {"mod.py": self._BAD})
-        assert report.exit_code == 1
-        baseline = tmp_path / "baseline.json"
-        assert write_baseline(report, baseline) == 1
-        check = check_baseline(report, baseline)
-        assert (len(check.new), len(check.legacy), check.fixed) == (0, 1, [])
-        assert check.exit_code == 0
-
-    def test_new_finding_fails_the_check(self, tmp_path):
-        report = self._report_for(tmp_path, {"mod.py": self._BAD})
-        baseline = tmp_path / "baseline.json"
-        write_baseline(report, baseline)
-        grown = self._report_for(tmp_path, {"other.py": self._BAD})
-        check = check_baseline(grown, baseline)
-        assert check.exit_code == 1
-        assert [f.path for f in check.new] == [
-            (tmp_path / "src/repro/pipelines/other.py").as_posix()
-        ]
-
-    def test_fixed_findings_burn_down(self, tmp_path):
-        report = self._report_for(tmp_path, {"mod.py": self._BAD})
-        baseline = tmp_path / "baseline.json"
-        write_baseline(report, baseline)
-        (tmp_path / "src/repro/pipelines/mod.py").write_text("x = 1\n")
-        clean = lint_paths([tmp_path / "src"])
-        check = check_baseline(clean, baseline)
-        assert check.exit_code == 0
-        assert len(check.fixed) == 1
-
-    def test_fingerprints_survive_line_shifts(self):
-        before = lint_source(self._BAD, path="src/m.py")
-        after = lint_source("# a comment\n\n" + self._BAD, path="src/m.py")
-        assert set(_fingerprints(before)) == set(_fingerprints(after))
-
-    def test_duplicate_findings_fingerprint_distinctly(self):
-        doubled = "import random\nx = random.random()\ny = random.random()\n"
-        prints = _fingerprints(lint_source(doubled, path="src/m.py"))
-        assert len(prints) == 2
-
-    def test_version_mismatch_is_loud(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"version": 999, "findings": {}}))
-        with pytest.raises(ValueError, match="version"):
-            check_baseline(LintReport(), baseline)
-
-    def test_missing_baseline_means_everything_is_new(self, tmp_path):
-        report = LintReport(
-            findings=[Finding("NUM201", "src/x.py", 1, 0, "exact float comparison")]
-        )
-        check = check_baseline(report, tmp_path / "absent.json")
-        assert check.exit_code == 1 and len(check.new) == 1
-
-    def test_committed_baseline_matches_the_tree(self):
-        config = LintConfig.from_pyproject(REPO_ROOT)
-        report = lint_paths([REPO_ROOT / "src"], config=config)
-        check = check_baseline(report, REPO_ROOT / "reprolint-baseline.json")
-        assert check.new == [], check.summary()
-
-
-class TestSarif:
-    def _payload(self, findings: list[Finding]) -> dict:
-        return json.loads(report_as_sarif(LintReport(findings=findings)))
-
-    def test_schema_shape_and_rule_catalog(self):
-        payload = self._payload([])
-        assert payload["version"] == "2.1.0"
-        assert "sarif-schema-2.1.0" in payload["$schema"]
-        (run,) = payload["runs"]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert rule_ids == set(default_registry().ids()) | {SYNTAX_RULE_ID}
-        assert all(
-            rule["shortDescription"]["text"]
-            for rule in run["tool"]["driver"]["rules"]
-        )
-
-    def test_results_carry_location_and_level(self):
-        payload = self._payload(
-            [Finding("LCK310", "src/repro/serving/shards.py", 7, 4, "cycle")]
-        )
-        (result,) = payload["runs"][0]["results"]
-        assert result["level"] == "error"  # deadlocks are never warnings
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert (region["startLine"], region["startColumn"]) == (7, 5)
-        assert result["ruleIndex"] >= 0
-
-    def test_suppressed_findings_emit_insource_suppressions(self):
-        payload = self._payload(
-            [Finding("NUM201", "src/x.py", 1, 0, "m", True, "benchmarked")]
-        )
-        (result,) = payload["runs"][0]["results"]
-        assert result["suppressions"] == [
-            {"kind": "inSource", "justification": "benchmarked"}
-        ]
-
-    def test_errors_surface_as_tool_notifications(self):
-        payload = json.loads(
-            report_as_sarif(LintReport(errors=["rule exploded"]))
-        )
-        (invocation,) = payload["runs"][0]["invocations"]
-        assert invocation["executionSuccessful"] is False
-        assert "rule exploded" in json.dumps(invocation)
-
 
 class TestWholeProgramPerformance:
     def test_full_tree_lint_stays_under_ten_seconds(self):
@@ -543,7 +399,6 @@ class TestSeededMutants:
     tree turns the exit code non-zero, for each whole-program family."""
 
     _MUTANTS = {
-        "repro/pipelines/fake_rerank.py": ("dfa501_bad.py", "DFA501"),
         "repro/serving/fake_order.py": ("lck310_bad.py", "LCK310"),
         "repro/pipelines/fake_chaos.py": ("det131_bad.py", "DET131"),
     }
@@ -558,18 +413,80 @@ class TestSeededMutants:
         assert report.exit_code == 1
         assert rule_id in {f.rule_id for f in report.active}
 
-    def test_mutant_breaks_the_ratchet_not_the_baseline(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        src = tmp_path / "src" / "repro" / "serving"
-        src.mkdir(parents=True)
-        write_baseline(lint_paths([tmp_path / "src"]), baseline)
-        (src / "fake_order.py").write_text(
-            (FIXTURES / "lck310_bad.py").read_text()
-        )
-        check = check_baseline(lint_paths([tmp_path / "src"]), baseline)
-        assert check.exit_code == 1
-        assert {f.rule_id for f in check.new} == {"LCK310"}
+    # Mutants of the real code: (source file, [(original, mutated)], rule).
+    # Each is a defect no per-file rule flags, so the whole-program rule
+    # must be the one (and only) finding.
+    _REAL_MUTANTS = {
+        # swap_store nests _rescue_lock inside _state_lock, while
+        # _rescue_pipeline nests _state_lock inside _rescue_lock.
+        "lck310-shard-swap": (
+            "repro/serving/shards.py",
+            [
+                (
+                    "                self._state_lock.notify_all()\n"
+                    "            with self._rescue_lock:\n"
+                    "                self._rescue_pipelines.clear()\n",
+                    "                with self._rescue_lock:\n"
+                    "                    self._rescue_pipelines.clear()\n"
+                    "                self._state_lock.notify_all()\n",
+                ),
+                (
+                    "        with self._rescue_lock:\n"
+                    "            pipeline = self._rescue_pipelines.get(key)\n",
+                    "        with self._rescue_lock:\n"
+                    "            with self._state_lock:\n"
+                    "                epoch = self._epoch\n"
+                    "            key = (*key, epoch)\n"
+                    "            pipeline = self._rescue_pipelines.get(key)\n",
+                ),
+            ],
+            "LCK310",
+        ),
+        # the tie-break generator draws fresh OS entropy per pipeline.
+        "det131-unseeded-tie-break": (
+            "repro/pipelines/descriptor.py",
+            [
+                (
+                    "        self._rng = make_rng(tie_break_seed)\n",
+                    "        self._rng = np.random.default_rng()\n",
+                ),
+            ],
+            "DET131",
+        ),
+        # every pipeline draws its tie-break seed from one shared generator,
+        # so a pipeline's ties depend on how many were built before it.
+        "det132-shared-tie-generator": (
+            "repro/pipelines/descriptor.py",
+            [
+                (
+                    '    "orb": (OrbExtractor, "hamming"),\n}\n',
+                    '    "orb": (OrbExtractor, "hamming"),\n}\n'
+                    "_TIE_RNG = np.random.default_rng(0)\n",
+                ),
+                (
+                    "        self._rng = make_rng(tie_break_seed)\n",
+                    "        self._rng = make_rng(int(_TIE_RNG.integers(2**31)))\n",
+                ),
+            ],
+            "DET132",
+        ),
+    }
 
+    @pytest.mark.parametrize("name", sorted(_REAL_MUTANTS))
+    def test_real_code_mutant_is_caught_only_by_the_project_rule(
+        self, tmp_path, name
+    ):
+        relative, edits, rule_id = self._REAL_MUTANTS[name]
+        source = (REPO_ROOT / "src" / relative).read_text()
+        for original, mutated in edits:
+            assert source.count(original) == 1, f"mutation site moved: {original!r}"
+            source = source.replace(original, mutated)
+        target = tmp_path / "src" / relative
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        report = lint_paths([tmp_path / "src"])
+        assert report.errors == []
+        assert [f.rule_id for f in report.active] == [rule_id]
 
 class TestCli:
     def test_lint_clean_file_exits_zero(self, capsys):
@@ -590,6 +507,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["active"] == 2
 
+    @pytest.mark.parametrize("stem", sorted(_EXPECTED))
+    def test_lint_exits_one_on_every_bad_fixture(self, tmp_path, capsys, stem):
+        module = _SCOPED_MODULES.get(stem, f"repro.fixtures.{stem}")
+        target = tmp_path / "src" / (module.replace(".", "/") + ".py")
+        target.parent.mkdir(parents=True)
+        target.write_text((FIXTURES / f"{stem}_bad.py").read_text())
+        assert cli_main(["lint", "--paths", str(tmp_path / "src")]) == 1
+        assert _EXPECTED[stem][0][0] in capsys.readouterr().out
+
     def test_lint_internal_error_exits_two(self, capsys, monkeypatch):
         import repro.analysis
 
@@ -600,71 +526,3 @@ class TestCli:
         code = cli_main(["lint"])
         assert code == 2
         assert "internal error" in capsys.readouterr().out
-
-    def test_lint_graph_dot_emits_all_three_graphs(self, capsys):
-        code = cli_main(["lint", "--graph", "dot"])
-        assert code == 0
-        out = capsys.readouterr().out
-        for header in ("digraph imports", "digraph calls", "digraph locks"):
-            assert header in out
-
-    def test_lint_single_graph_kind(self, capsys):
-        code = cli_main(["lint", "--graph", "lock"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "digraph locks" in out
-        assert "digraph imports" not in out
-
-    def test_lint_sarif_writes_a_valid_document(self, tmp_path, capsys):
-        sarif = tmp_path / "out.sarif"
-        code = cli_main(
-            [
-                "lint",
-                "--paths",
-                str(FIXTURES / "det101_bad.py"),
-                "--sarif",
-                str(sarif),
-            ]
-        )
-        assert code == 1
-        payload = json.loads(sarif.read_text())
-        assert payload["version"] == "2.1.0"
-        assert len(payload["runs"][0]["results"]) == 2
-
-    def test_lint_baseline_write_then_check_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        bad = str(FIXTURES / "det101_bad.py")
-        assert (
-            cli_main(
-                ["lint", "--paths", bad, "--baseline", "write",
-                 "--baseline-path", str(baseline)]
-            )
-            == 0
-        )
-        assert "baseline: wrote 2 fingerprints" in capsys.readouterr().out
-        assert (
-            cli_main(
-                ["lint", "--paths", bad, "--baseline", "check",
-                 "--baseline-path", str(baseline)]
-            )
-            == 0
-        )
-        assert "ratchet: 0 new, 2 legacy" in capsys.readouterr().out
-
-    def test_lint_baseline_check_fails_on_unbaselined_finding(
-        self, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        cli_main(
-            ["lint", "--paths", str(FIXTURES / "det101_ok.py"),
-             "--baseline", "write", "--baseline-path", str(baseline)]
-        )
-        capsys.readouterr()
-        code = cli_main(
-            ["lint", "--paths", str(FIXTURES / "det101_bad.py"),
-             "--baseline", "check", "--baseline-path", str(baseline)]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "ratchet: 2 new" in out
-        assert "NEW" in out and "DET101" in out
