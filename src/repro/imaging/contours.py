@@ -5,15 +5,17 @@ Replaces ``cv2.findContours`` for the paper's preprocessing routine
 contour of largest area.
 
 Connected foreground components are located with ``scipy.ndimage.label``
-(8-connectivity, matching OpenCV's default) and each component's outer
-boundary is traced with Moore-neighbour tracing so contours carry an ordered
-point polygon as well as the filled region mask.  Area is the filled pixel
-count, which is what the paper's "largest area" selection needs.
+(8-connectivity, matching OpenCV's default) and their areas counted in one
+``np.bincount`` over the label image.  Area is the filled pixel count, which
+is what the paper's "largest area" selection needs, so picking the largest
+component never looks at a boundary.  A contour's ordered boundary polygon
+is traced with Moore-neighbour tracing only when ``points`` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -31,13 +33,19 @@ _MOORE = [(0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)]
 class Contour:
     """An extracted object contour.
 
-    ``points`` is an ordered ``(N, 2)`` array of (row, col) boundary
-    coordinates; ``mask`` is the filled component as a boolean image of the
-    same shape as the source.
+    ``mask`` is the filled component as a boolean image of the same shape as
+    the source; ``points`` is its ordered ``(N, 2)`` array of (row, col)
+    boundary coordinates, traced on first access.
     """
 
-    points: np.ndarray
     mask: np.ndarray = field(repr=False)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Moore-traced outer boundary, starting at the first pixel in raster order."""
+        start_flat = int(np.argmax(self.mask))
+        start = divmod(start_flat, self.mask.shape[1])
+        return _trace_boundary(self.mask, start)
 
     @property
     def area(self) -> float:
@@ -113,38 +121,41 @@ def _trace_boundary(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     return np.array(boundary, dtype=np.intp)
 
 
+def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected labels of *mask* and each label's area (index 0 = background)."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ContourError(f"mask must be 2-D, got shape {mask.shape}")
+    labels, _ = ndimage.label(mask.astype(bool), structure=_STRUCT8)
+    return labels, np.bincount(labels.ravel())
+
+
 def find_contours(mask: np.ndarray, min_area: float = 1.0) -> list[Contour]:
     """Extract outer contours of all foreground components in *mask*.
 
     Components smaller than *min_area* pixels are dropped.  Contours are
-    returned sorted by descending area, so ``find_contours(m)[0]`` is the
-    paper's "contour of largest area".
+    returned sorted by descending area, ties in label (raster) order, so
+    ``find_contours(m)[0]`` is the paper's "contour of largest area".
     """
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ContourError(f"mask must be 2-D, got shape {mask.shape}")
-    binary = mask.astype(bool)
-    labels, count = ndimage.label(binary, structure=_STRUCT8)
-    contours = []
-    for label_id in range(1, count + 1):
-        component = labels == label_id
-        area = component.sum()
-        if area < min_area:
-            continue
-        start_flat = int(np.argmax(component))
-        start = (start_flat // component.shape[1], start_flat % component.shape[1])
-        points = _trace_boundary(component, start)
-        contours.append(Contour(points=points, mask=component))
-    contours.sort(key=lambda c: c.area, reverse=True)
-    return contours
+    labels, areas = _label(mask)
+    order = sorted(range(1, len(areas)), key=lambda label_id: -areas[label_id])
+    return [
+        Contour(mask=labels == label_id)
+        for label_id in order
+        if areas[label_id] >= min_area
+    ]
 
 
 def largest_contour(mask: np.ndarray) -> Contour:
-    """Return the largest-area contour, raising if the mask is empty."""
-    contours = find_contours(mask)
-    if not contours:
+    """Return the largest-area contour, raising if the mask is empty.
+
+    Equal areas go to the lowest label, the first in raster order, which
+    is ``find_contours(mask)[0]``; only the winner's mask is built.
+    """
+    labels, areas = _label(mask)
+    if len(areas) < 2:
         raise ContourError("no foreground component found in mask")
-    return contours[0]
+    return Contour(mask=labels == int(np.argmax(areas[1:])) + 1)
 
 
 def contour_area(contour: Contour) -> float:

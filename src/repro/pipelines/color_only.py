@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import HISTOGRAM_BINS
 from repro.datasets.dataset import LabelledImage
-from repro.errors import ContourError, ImageError
+from repro.errors import ImageError
 from repro.imaging.histogram import (
     HistogramMetric,
     compare_histograms,
@@ -27,7 +27,7 @@ from repro.imaging.histogram import (
     stack_histograms,
 )
 from repro.pipelines.base import MatchingPipeline
-from repro.pipelines.preprocess import extract_object_crop
+from repro.pipelines.preprocess import ObjectCrop, object_crop_or_none
 
 
 #: Cache version of :func:`color_features`; the namespace additionally
@@ -44,17 +44,29 @@ def color_feature_namespace(bins: int) -> str:
     return f"color-hist{bins}"
 
 
-def color_features(item: LabelledImage, bins: int = HISTOGRAM_BINS) -> np.ndarray:
-    """Masked RGB histogram of *item*'s object crop.
+def crop_histogram(
+    image: np.ndarray, object_crop: ObjectCrop | None, bins: int = HISTOGRAM_BINS
+) -> np.ndarray:
+    """Masked RGB histogram of *object_crop*, segmented from *image*.
 
     Degenerate inputs (no contour) fall back to the whole-image histogram,
     mirroring what an OpenCV pipeline would do with an empty mask.
     """
-    try:
-        object_crop = extract_object_crop(item.image, background="auto")
-        return rgb_histogram(object_crop.image, bins=bins, mask=object_crop.mask)
-    except (ContourError, ImageError):
-        return rgb_histogram(item.image, bins=bins)
+    if object_crop is not None:
+        try:
+            return rgb_histogram(object_crop.image, bins=bins, mask=object_crop.mask)
+        except ImageError:
+            pass
+    return rgb_histogram(image, bins=bins)
+
+
+def color_features(item: LabelledImage, bins: int = HISTOGRAM_BINS) -> np.ndarray:
+    """Masked RGB histogram of *item*'s object crop.
+
+    An image that fails segmentation's validation would fail the
+    whole-image fallback's identical validation, so that error propagates.
+    """
+    return crop_histogram(item.image, object_crop_or_none(item.image), bins)
 
 
 class ColorOnlyPipeline(MatchingPipeline):

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.config import HISTOGRAM_BINS, HYBRID_ALPHA, HYBRID_BETA
 from repro.datasets.dataset import ImageDataset, LabelledImage
-from repro.engine.cache import default_cache, default_matrix_cache
+from repro.engine.cache import FeatureCache, default_cache, default_matrix_cache
 from repro.engine.instrument import maybe_stage
 from repro.errors import PipelineError, StoreError
 from repro.imaging.histogram import (
@@ -56,12 +56,14 @@ from repro.pipelines.base import Prediction, RecognitionPipeline
 from repro.pipelines.color_only import (
     COLOR_FEATURE_VERSION,
     color_feature_namespace,
-    color_features,
+    color_features,  # noqa: F401 -- re-exported with the hybrid's features
+    crop_histogram,
 )
+from repro.pipelines.preprocess import ObjectCrop, object_crop_or_none
 from repro.pipelines.shape_only import (
     SHAPE_FEATURE_NAMESPACE,
     SHAPE_FEATURE_VERSION,
-    shape_features,
+    crop_hu,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +77,52 @@ class HybridStrategy(str, Enum):
     WEIGHTED_SUM = "weighted_sum"
     MICRO_AVERAGE = "micro_average"
     MACRO_AVERAGE = "macro_average"
+
+
+def cached_features(
+    cache: FeatureCache | None,
+    item: LabelledImage,
+    bins: int,
+    families: Sequence[str] = ("shape", "color"),
+) -> dict[str, np.ndarray]:
+    """*item*'s Hu vector (``"shape"``) and RGB histogram (``"color"``),
+    whichever *families* names, segmenting the item at most once.
+
+    Each feature is looked up under the same namespace/version as
+    :func:`~repro.pipelines.shape_only.shape_features` and
+    :func:`~repro.pipelines.color_only.color_features`, so the shape-only,
+    colour-only and hybrid pipelines and the store builder share entries,
+    and a fresh item records one miss per namespace.  The first miss
+    segments the item and the second reuses its crop; an item that hits
+    every namespace is never segmented.  Shape is looked up first, so a
+    segmentation error raises before any colour is cached.
+    """
+    crops: list[ObjectCrop | None] = []
+
+    def object_crop() -> ObjectCrop | None:
+        if not crops:
+            crops.append(object_crop_or_none(item.image))
+        return crops[0]
+
+    def lookup(namespace: str, version: str, compute) -> np.ndarray:
+        if cache is None:
+            return compute()
+        return cache.get_or_compute(namespace, version, item.image, compute)
+
+    features = {}
+    if "shape" in families:
+        features["shape"] = lookup(
+            SHAPE_FEATURE_NAMESPACE,
+            SHAPE_FEATURE_VERSION,
+            lambda: crop_hu(object_crop()),
+        )
+    if "color" in families:
+        features["color"] = lookup(
+            color_feature_namespace(bins),
+            COLOR_FEATURE_VERSION,
+            lambda: crop_histogram(item.image, object_crop(), bins),
+        )
+    return features
 
 
 def as_distance(score: float, metric: HistogramMetric) -> float:
@@ -117,37 +165,14 @@ class HybridPipeline(RecognitionPipeline):
         self.matrix_cache = default_matrix_cache()
         #: Master switch for the fused vectorized theta path.
         self.batch_scoring: bool = True
-        #: Cache keyspaces derived once instead of once per query lookup
-        #: (the colour namespace embeds the bin count).
+        #: (namespace, version) of the two features, shared with the
+        #: shape-only / colour-only pipelines (the colour namespace embeds
+        #: the bin count).
         self._shape_keyspace = (SHAPE_FEATURE_NAMESPACE, SHAPE_FEATURE_VERSION)
         self._color_keyspace = (color_feature_namespace(bins), COLOR_FEATURE_VERSION)
         #: Two-stage retriever over the joint shape+colour embedding,
         #: attached by :meth:`attach_index`; None = brute-force thetas.
         self._retriever: "TwoStageRetriever | None" = None
-
-    def _shape_of(self, item: LabelledImage) -> np.ndarray:
-        # Shares the shape-only pipelines' cache namespace, so a hybrid fit
-        # after a shape-only fit (or vice versa) is all hits.
-        if self.cache is None:
-            return shape_features(item)
-        namespace, version = self._shape_keyspace
-        return self.cache.get_or_compute(
-            namespace,
-            version,
-            item.image,
-            lambda: shape_features(item),
-        )
-
-    def _color_of(self, item: LabelledImage) -> np.ndarray:
-        if self.cache is None:
-            return color_features(item, bins=self.bins)
-        namespace, version = self._color_keyspace
-        return self.cache.get_or_compute(
-            namespace,
-            version,
-            item.image,
-            lambda: color_features(item, bins=self.bins),
-        )
 
     @property
     def scoring_mode(self) -> str:
@@ -158,7 +183,8 @@ class HybridPipeline(RecognitionPipeline):
 
     def extract_features(self, query: LabelledImage) -> tuple[np.ndarray, np.ndarray]:
         """The (shape, colour) feature pair of one query, cache-backed."""
-        return self._shape_of(query), self._color_of(query)
+        features = cached_features(self.cache, query, self.bins)
+        return features["shape"], features["color"]
 
     @property
     def index_attached(self) -> bool:
@@ -311,8 +337,9 @@ class HybridPipeline(RecognitionPipeline):
         self._references = references
         self._retriever = None  # indexes an old library; rebuild explicitly
         with maybe_stage(self.stopwatch, "extract"):
-            self._shape_refs = [self._shape_of(item) for item in references]
-            self._color_refs = [self._color_of(item) for item in references]
+            pairs = [self.extract_features(item) for item in references]
+        self._shape_refs = [hu for hu, _ in pairs]
+        self._color_refs = [histogram for _, histogram in pairs]
         self._shape_matrix = None
         self._color_matrix = None
         if self.batch_scoring:
@@ -327,16 +354,10 @@ class HybridPipeline(RecognitionPipeline):
                     # colour-only pipelines, so all of them share one stack
                     # per reference set.
                     self._shape_matrix = self.matrix_cache.get_or_build(
-                        SHAPE_FEATURE_NAMESPACE,
-                        SHAPE_FEATURE_VERSION,
-                        references,
-                        build_shape,
+                        *self._shape_keyspace, references, build_shape
                     )
                     self._color_matrix = self.matrix_cache.get_or_build(
-                        color_feature_namespace(self.bins),
-                        COLOR_FEATURE_VERSION,
-                        references,
-                        build_color,
+                        *self._color_keyspace, references, build_color
                     )
         return self
 
@@ -363,10 +384,8 @@ class HybridPipeline(RecognitionPipeline):
             raise StoreError(
                 f"shard rows [{start}, {stop}) outside store of {len(references)} views"
             )
-        shape_matrix = store.matrix(SHAPE_FEATURE_NAMESPACE, SHAPE_FEATURE_VERSION)
-        color_matrix = store.matrix(
-            color_feature_namespace(self.bins), COLOR_FEATURE_VERSION
-        )
+        shape_matrix = store.matrix(*self._shape_keyspace)
+        color_matrix = store.matrix(*self._color_keyspace)
         self._references = references.slice(start, stop)  # type: ignore[assignment]
         self._retriever = None  # indexes an old library; rebuild explicitly
         self._shape_matrix = shape_matrix[start:stop]
@@ -378,10 +397,9 @@ class HybridPipeline(RecognitionPipeline):
     def theta_scores(self, query: LabelledImage) -> np.ndarray:
         """Per-view theta = alpha*S + beta*C' for *query* (eq. 2)."""
         with maybe_stage(self.stopwatch, "extract"):
-            query_shape = self._shape_of(query)
-            query_color = self._color_of(query)
+            features = self.extract_features(query)
         with maybe_stage(self.stopwatch, "score"):
-            return self._thetas_of(query_shape, query_color)
+            return self._thetas_of(*features)
 
     def _thetas_of(
         self, query_shape: np.ndarray, query_color: np.ndarray
@@ -422,9 +440,7 @@ class HybridPipeline(RecognitionPipeline):
         """``(Q, V)`` theta matrix of a query block (row i = queries[i])."""
         self.references
         with maybe_stage(self.stopwatch, "extract"):
-            features = [
-                (self._shape_of(query), self._color_of(query)) for query in queries
-            ]
+            features = [self.extract_features(query) for query in queries]
         with maybe_stage(self.stopwatch, "score"):
             if not features:
                 return np.empty((0, len(self.references)), dtype=np.float64)

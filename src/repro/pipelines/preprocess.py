@@ -6,8 +6,11 @@
     and (iv) cropped the original RGB image to the contour of largest area."
 
 :func:`extract_object_crop` performs exactly these four steps and returns the
-cropped RGB image together with the foreground mask and contour, which the
-matching pipelines reuse for moments and masked histograms.
+cropped RGB image together with the foreground mask and contour.  The
+largest contour is found from component areas alone; no boundary is traced.
+One crop feeds both of the hybrid's features: the shape pipeline takes Hu
+moments of its hole-filled mask, the colour pipeline a masked histogram of
+its pixels (:func:`object_crop_or_none` is the entry point both use).
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ def detect_background(image: np.ndarray) -> str:
     """Guess whether *image* lies on a black or white background.
 
     Looks at the mean luma of the one-pixel border, which is pure mask black
-    for NYU crops and near white for ShapeNet views.
+    for NYU crops and near white for ShapeNet views.  Only the border pixels
+    are averaged over their channels.
     """
     data = as_float(image)
-    if data.ndim == 3:
-        data = data.mean(axis=-1)
     border = np.concatenate([data[0, :], data[-1, :], data[1:-1, 0], data[1:-1, -1]])
+    if border.ndim == 2:
+        border = border.mean(axis=-1)
     return "black" if border.mean() < 0.5 else "white"
 
 
@@ -86,3 +90,13 @@ def extract_object_crop(image: np.ndarray, background: str = "auto") -> ObjectCr
         contour=contour,
         bbox=(top, left, height, width),
     )
+
+
+def object_crop_or_none(image: np.ndarray) -> ObjectCrop | None:
+    """:func:`extract_object_crop` with auto background, or None when the
+    image has no foreground (a degenerate query the features map to their
+    fallbacks)."""
+    try:
+        return extract_object_crop(image, background="auto")
+    except ContourError:
+        return None

@@ -5,17 +5,17 @@
     different variants of this method, with distance metric between image
     moments set to be the L1, L2, or L3 norm respectively."
 
-Features are the seven Hu invariants of the filled largest-contour mask;
-scores are the matchShapes distances of
+Features are the seven Hu invariants of the largest component's mask with
+its interior holes filled, taken on the object crop; scores are the matchShapes distances of
 :mod:`repro.imaging.match_shapes` (lower = more similar).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from repro.datasets.dataset import LabelledImage
-from repro.errors import ContourError
 from repro.imaging.match_shapes import (
     ShapeDistance,
     hu_signature,
@@ -26,7 +26,7 @@ from repro.imaging.match_shapes import (
 )
 from repro.imaging.moments import hu_moments
 from repro.pipelines.base import MatchingPipeline
-from repro.pipelines.preprocess import extract_object_crop
+from repro.pipelines.preprocess import ObjectCrop, object_crop_or_none
 
 #: Hu vector used when preprocessing finds no contour at all (degenerate
 #: query); it is maximally distant from any real shape under all metrics.
@@ -39,21 +39,26 @@ SHAPE_FEATURE_NAMESPACE = "shape-hu"
 SHAPE_FEATURE_VERSION = "v1"
 
 
-def shape_features(item: LabelledImage) -> np.ndarray:
-    """Hu-moment vector of the largest foreground contour of *item*.
+def crop_hu(object_crop: ObjectCrop | None) -> np.ndarray:
+    """Hu-moment vector of *object_crop*'s mask with its holes filled.
 
     Moments are taken over the *filled outer polygon* of the contour, which
     is what ``cv2.matchShapes`` sees: OpenCV integrates contour moments via
     Green's theorem, so interior holes (window panes, mug handles) are
-    invisible at the moment level.
+    invisible at the moment level.  Everything outside the crop window is
+    background that reaches the frame border, so filling the crop padded by
+    one background pixel equals filling the whole frame.  ``None`` (no
+    contour) maps to the degenerate all-NaN vector.
     """
-    try:
-        object_crop = extract_object_crop(item.image, background="auto")
-    except ContourError:
+    if object_crop is None:
         return _DEGENERATE_HU
-    filled = object_crop.contour.filled_mask
-    top, left, height, width = object_crop.bbox
-    return hu_moments(filled[top : top + height, left : left + width].astype(np.float64))
+    filled = ndimage.binary_fill_holes(np.pad(object_crop.mask, 1))[1:-1, 1:-1]
+    return hu_moments(filled.astype(np.float64))
+
+
+def shape_features(item: LabelledImage) -> np.ndarray:
+    """Hu-moment vector of the largest foreground contour of *item*."""
+    return crop_hu(object_crop_or_none(item.image))
 
 
 class ShapeOnlyPipeline(MatchingPipeline):

@@ -3,7 +3,8 @@
 :func:`build_store` extracts every reference feature family once — through
 the shared :class:`~repro.engine.cache.FeatureCache`, under the exact
 namespace/version keys the pipelines use, so a build after a fit (or vice
-versa) is all cache hits — stacks them into the contiguous matrices the
+versa) is all cache hits, and segmenting each view once for both the shape
+and colour families — stacks them into the contiguous matrices the
 batch kernels consume, and publishes them as one immutable, content-
 addressed store version:
 
@@ -87,48 +88,26 @@ def _cached(
     return cache.get_or_compute(namespace, version, item.image, compute)
 
 
-def _shape_rows(
-    references: ImageDataset, cache: FeatureCache | None
-) -> np.ndarray:
-    from repro.pipelines.shape_only import (
-        SHAPE_FEATURE_NAMESPACE,
-        SHAPE_FEATURE_VERSION,
-        shape_features,
-    )
+def _matrices(
+    references: ImageDataset,
+    bins: int,
+    families: Sequence[str],
+    cache: FeatureCache | None,
+) -> dict[str, np.ndarray]:
+    """The stacked shape and/or colour matrix of each of *families*.
 
-    rows = [
-        _cached(
-            cache,
-            SHAPE_FEATURE_NAMESPACE,
-            SHAPE_FEATURE_VERSION,
-            item,
-            lambda item=item: shape_features(item),
-        )
-        for item in references
-    ]
-    return hu_signature_matrix(np.vstack(rows))
+    Every view is segmented at most once, however many of the two
+    families are built.
+    """
+    from repro.pipelines.hybrid import cached_features
 
-
-def _color_rows(
-    references: ImageDataset, bins: int, cache: FeatureCache | None
-) -> np.ndarray:
-    from repro.pipelines.color_only import (
-        COLOR_FEATURE_VERSION,
-        color_feature_namespace,
-        color_features,
-    )
-
-    rows = [
-        _cached(
-            cache,
-            color_feature_namespace(bins),
-            COLOR_FEATURE_VERSION,
-            item,
-            lambda item=item: color_features(item, bins=bins),
-        )
-        for item in references
-    ]
-    return stack_histograms(rows)
+    rows = [cached_features(cache, item, bins, families) for item in references]
+    matrices = {}
+    if "shape" in families:
+        matrices["shape"] = hu_signature_matrix(np.vstack([row["shape"] for row in rows]))
+    if "color" in families:
+        matrices["color"] = stack_histograms([row["color"] for row in rows])
+    return matrices
 
 
 def _descriptor_rows(
@@ -273,18 +252,12 @@ def build_store(
     staging = root / f".staging-{version}-{os.getpid()}"
     staging.mkdir(parents=True, exist_ok=True)
     shards: list[ShardSpec] = []
-    if "shape" in families:
+    matrices = _matrices(references, bins, families, cache)
+    if "shape" in matrices:
+        shards.append(_save_matrix(staging, "shape-hu", "v1", matrices["shape"]))
+    if "color" in matrices:
         shards.append(
-            _save_matrix(staging, "shape-hu", "v1", _shape_rows(references, cache))
-        )
-    if "color" in families:
-        shards.append(
-            _save_matrix(
-                staging,
-                f"color-hist{bins}",
-                "v1",
-                _color_rows(references, bins, cache),
-            )
+            _save_matrix(staging, f"color-hist{bins}", "v1", matrices["color"])
         )
     if "desc-sift" in families:
         shards.append(

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+import repro.imaging.contours as contours_module
 from repro.errors import ContourError
 from repro.imaging.contours import (
+    _trace_boundary,
     bounding_rect,
     contour_area,
     contour_perimeter,
@@ -108,3 +113,86 @@ class TestContourProperties:
     def test_uint8_mask_accepted(self):
         mask = square_mask().astype(np.uint8) * 255
         assert largest_contour(mask).area == 25
+
+
+def eager_largest(mask):
+    """The largest component by the per-component rule: label, build every
+    component, stable-sort by descending area, take the first."""
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    components = [labels == label_id for label_id in range(1, count + 1)]
+    components.sort(key=lambda component: component.sum(), reverse=True)
+    return components[0]
+
+
+def eager_trace(component):
+    start = divmod(int(np.argmax(component)), component.shape[1])
+    return _trace_boundary(component, start)
+
+
+@st.composite
+def masks_with_ties(draw):
+    """A random tile repeated side by side, so areas tie across copies."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    tile = np.array(cells, dtype=bool).reshape(rows, cols)
+    copies = draw(st.integers(1, 3))
+    gap = np.zeros((rows, 1), dtype=bool)
+    return np.hstack([tile, gap] * copies)[:, :-1]
+
+
+class TestLargestWithoutTracing:
+    @settings(max_examples=200, deadline=None)
+    @given(masks_with_ties())
+    def test_matches_the_per_component_rule(self, mask):
+        if not mask.any():
+            with pytest.raises(ContourError):
+                largest_contour(mask)
+            return
+        expected = eager_largest(mask)
+        largest = largest_contour(mask)
+        assert np.array_equal(largest.mask, expected)
+        assert np.array_equal(find_contours(mask)[0].mask, expected)
+        assert np.array_equal(largest.points, eager_trace(expected))
+
+    def test_equal_areas_go_to_the_first_in_raster_order(self):
+        mask = np.zeros((6, 9), dtype=bool)
+        mask[3:5, 1:3] = True  # area 4, starts lower
+        mask[0:2, 6:8] = True  # area 4, first in raster order
+        assert largest_contour(mask).bounding_box == (0, 6, 2, 2)
+
+    def test_points_are_traced_lazily(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("boundary traced")
+
+        monkeypatch.setattr(contours_module, "_trace_boundary", refuse)
+        contour = largest_contour(square_mask())
+        assert contour.area == 25 and find_contours(square_mask())[0].area == 25
+        with pytest.raises(AssertionError, match="boundary traced"):
+            contour.points
+
+
+def test_the_served_path_never_traces(monkeypatch, tmp_path):
+    from repro.engine.cache import FeatureCache, ReferenceMatrixCache
+    from repro.pipelines.hybrid import HybridPipeline
+    from repro.store import build_store
+
+    from tests.engine.synthetic import make_image_set
+
+    def refuse(*args):
+        raise AssertionError("boundary traced on the served path")
+
+    monkeypatch.setattr(contours_module, "_trace_boundary", refuse)
+    references = make_image_set(seed=41, count=6, name="refs")
+    queries = list(make_image_set(seed=42, count=3, name="q", source="sns2"))
+    pipeline = HybridPipeline(bins=8)
+    pipeline.cache = FeatureCache()
+    pipeline.matrix_cache = ReferenceMatrixCache()
+    pipeline.fit(references)
+    pipeline.predict(queries[0])
+    assert len(pipeline.predict_batch(queries)) == 3
+    built = build_store(
+        references, tmp_path / "store", bins=8, families=("shape", "color"),
+        cache=FeatureCache(),
+    )
+    assert built.created

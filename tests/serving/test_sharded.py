@@ -10,6 +10,7 @@ killed mid-run.
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -202,8 +203,11 @@ class TestShardedService:
         )
         with service:
             # Kill a worker out from under the pool: the next scatter hits
-            # BrokenProcessPool, rebuilds once, and replays the batch.
-            service._pool.submit(os._exit, 1)
+            # BrokenProcessPool, rebuilds once, and replays the batch.  Wait
+            # until the pool has seen the death, or a fast batch can finish
+            # on the surviving worker first and never observe it.
+            kill = service._pool.submit(os._exit, 1)
+            assert isinstance(kill.exception(timeout=60.0), BrokenProcessPool)
             futures = [service.submit(query) for query in queries]
             got = [future.result(timeout=60.0) for future in futures]
             rebuilds = service.pool_rebuilds
