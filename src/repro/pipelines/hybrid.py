@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import HISTOGRAM_BINS, HYBRID_ALPHA, HYBRID_BETA
 from repro.datasets.dataset import ImageDataset, LabelledImage
@@ -104,12 +104,14 @@ def cached_features(
             crops.append(object_crop_or_none(item.image))
         return crops[0]
 
-    def lookup(namespace: str, version: str, compute) -> np.ndarray:
+    def lookup(
+        namespace: str, version: str, compute: Callable[[], np.ndarray]
+    ) -> np.ndarray:
         if cache is None:
             return compute()
         return cache.get_or_compute(namespace, version, item.image, compute)
 
-    features = {}
+    features: dict[str, np.ndarray] = {}
     if "shape" in families:
         features["shape"] = lookup(
             SHAPE_FEATURE_NAMESPACE,

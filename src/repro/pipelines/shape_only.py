@@ -5,9 +5,9 @@
     different variants of this method, with distance metric between image
     moments set to be the L1, L2, or L3 norm respectively."
 
-Features are the seven Hu invariants of the largest component's mask with
-its interior holes filled, taken on the object crop; scores are the matchShapes distances of
-:mod:`repro.imaging.match_shapes` (lower = more similar).
+Features are the seven Hu invariants of the object crop's largest-component
+mask with its interior holes filled; scores are the matchShapes distances
+of :mod:`repro.imaging.match_shapes` (lower = more similar).
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ def _matrices(
     from repro.pipelines.hybrid import cached_features
 
     rows = [cached_features(cache, item, bins, families) for item in references]
-    matrices = {}
+    matrices: dict[str, np.ndarray] = {}
     if "shape" in families:
         matrices["shape"] = hu_signature_matrix(np.vstack([row["shape"] for row in rows]))
     if "color" in families:
