@@ -17,11 +17,7 @@ import numpy as np
 
 from repro.errors import ImageError
 from repro.imaging.image import as_float, ensure_gray
-
-
-#: Query rows per block-kernel chunk — keeps the broadcasted ``(Q, V, B)``
-#: temporaries inside the cache hierarchy for typical reference libraries.
-_BLOCK_CHUNK = 32
+from repro.imaging.tiles import tiled_sums
 
 
 class HistogramMetric(str, Enum):
@@ -153,11 +149,12 @@ def compare_histograms_block(
     """``(Q, V)`` comparisons of a query block against all reference rows.
 
     Row *i* is bit-identical to ``compare_histograms_batch(query_matrix[i],
-    ref_matrix, metric)``: the same elementwise expressions broadcast over
-    one extra axis, with reductions still over the trailing bin axis, and
-    degenerate (zero-variance / zero-mass) cells resolved per pair exactly
-    as the scalar kernel resolves them.  Chi-square keeps the per-row path:
-    its summation runs over a per-query compacted column subset (``h1 > 0``),
+    ref_matrix, metric)``: the same elementwise expressions, reduced over
+    the trailing bin axis through cache-sized tiles
+    (:func:`~repro.imaging.tiles.tiled_sums`), with degenerate
+    (zero-variance / zero-mass) cells resolved per pair exactly as the
+    scalar kernel resolves them.  Chi-square keeps the per-row path: its
+    summation runs over a per-query compacted column subset (``h1 > 0``),
     and re-summing a zero-padded full-width row would round differently.
     """
     queries = np.asarray(query_matrix, dtype=np.float64)
@@ -166,16 +163,7 @@ def compare_histograms_block(
         raise ImageError(f"histogram shapes differ: {queries.shape} vs {refs.shape}")
     if queries.shape[1] == 0:
         raise ImageError("histograms are empty")
-
-    if queries.shape[0] > _BLOCK_CHUNK:
-        # Large blocks blow the (Q, V, B) temporaries out of cache; rows are
-        # independent, so chunking the query axis is bit-identical.
-        return np.vstack(
-            [
-                compare_histograms_block(queries[i : i + _BLOCK_CHUNK], refs, metric)
-                for i in range(0, queries.shape[0], _BLOCK_CHUNK)
-            ]
-        )
+    shape = (queries.shape[0], refs.shape[0], queries.shape[1])
 
     if metric == HistogramMetric.CHI_SQUARE:
         return np.vstack(
@@ -186,8 +174,13 @@ def compare_histograms_block(
         d1 = queries - queries.mean(axis=1)[:, None]
         d2 = refs - refs.mean(axis=1)[:, None]
         denom = np.sqrt((d1**2).sum(axis=1)[:, None] * (d2**2).sum(axis=1)[None, :])
+
+        def products(rows: slice, cols: slice, out: np.ndarray) -> None:
+            np.multiply(d1[rows, None, :], d2[None, cols, :], out=out)
+
+        scores = tiled_sums(*shape, products)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = (d1[:, None, :] * d2[None, :, :]).sum(axis=2) / denom
+            np.divide(scores, denom, out=scores)
         degenerate = denom == 0
         if degenerate.any():
             for qi, ri in np.argwhere(degenerate):
@@ -195,15 +188,30 @@ def compare_histograms_block(
         return scores
 
     if metric == HistogramMetric.INTERSECTION:
-        return np.minimum(queries[:, None, :], refs[None, :, :]).sum(axis=2)
+
+        def minima(rows: slice, cols: slice, out: np.ndarray) -> None:
+            np.minimum(queries[rows, None, :], refs[None, cols, :], out=out)
+
+        return tiled_sums(*shape, minima)
 
     if metric == HistogramMetric.HELLINGER:
         mean1 = queries.mean(axis=1)
         means = refs.mean(axis=1)
-        denom = np.sqrt(mean1[:, None] * means[None, :]) * queries.shape[1]
+        denom = mean1[:, None] * means[None, :]
+        np.sqrt(denom, out=denom)
+        denom *= queries.shape[1]
+
+        def root_products(rows: slice, cols: slice, out: np.ndarray) -> None:
+            np.multiply(queries[rows, None, :], refs[None, cols, :], out=out)
+            np.sqrt(out, out=out)
+
+        # Finish bc -> sqrt(max(0, 1 - bc)) in place on the (Q, V) sums.
+        scores = tiled_sums(*shape, root_products)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bc = np.sqrt(queries[:, None, :] * refs[None, :, :]).sum(axis=2) / denom
-            scores = np.sqrt(np.maximum(0.0, 1.0 - bc))
+            np.divide(scores, denom, out=scores)
+            np.subtract(1.0, scores, out=scores)
+            np.maximum(0.0, scores, out=scores)
+            np.sqrt(scores, out=scores)
         degenerate = denom == 0
         if degenerate.any():
             for qi, ri in np.argwhere(degenerate):

@@ -23,13 +23,10 @@ import numpy as np
 
 from repro.errors import ImageError
 from repro.imaging.moments import hu_moments
+from repro.imaging.tiles import tiled_sums
 
 #: Magnitudes below this are treated as zero, mirroring OpenCV's eps.
 _EPS = 1e-30
-
-#: Query rows per block-kernel chunk — keeps the broadcasted ``(Q, V, 7)``
-#: temporaries inside the cache hierarchy for typical reference libraries.
-_BLOCK_CHUNK = 32
 
 
 class ShapeDistance(str, Enum):
@@ -141,10 +138,12 @@ def match_shapes_block(
 
     *query_matrix* is a ``(Q, 7)`` :func:`hu_signature_matrix` of the query
     signatures; row *i* of the result is bit-identical to
-    ``match_shapes_batch(query_matrix[i], ref_matrix, method)`` — the same
-    elementwise expressions broadcast over one extra axis, with reductions
-    still running over the trailing moment axis.  This is the serving fast
-    path: one kernel call scores a whole micro-batch.
+    ``match_shapes_batch(query_matrix[i], ref_matrix, method)``.  L1 and L2
+    sum the same elementwise terms over the trailing moment axis, through
+    cache-sized tiles (:func:`~repro.imaging.tiles.tiled_sums`).  L3 folds
+    its maximum in one moment term at a time on ``(Q, V)`` planes; ``max``
+    is exact in any order.  This is the serving fast path: one kernel call
+    scores a whole micro-batch.
     """
     queries = np.asarray(query_matrix, dtype=np.float64)
     refs = np.asarray(ref_matrix, dtype=np.float64)
@@ -152,37 +151,67 @@ def match_shapes_block(
         raise ImageError(
             f"signature shapes incompatible: {queries.shape} vs {refs.shape}"
         )
-    if queries.shape[0] > _BLOCK_CHUNK:
-        # Rows are independent; chunking the query axis keeps the (Q, V, 7)
-        # temporaries cache-resident and is bit-identical.
-        return np.vstack(
-            [
-                match_shapes_block(queries[i : i + _BLOCK_CHUNK], refs, method)
-                for i in range(0, queries.shape[0], _BLOCK_CHUNK)
-            ]
-        )
     nan_queries = np.isnan(queries).any(axis=1)
     nan_refs = np.isnan(refs).any(axis=1)
-    usable = (np.abs(queries) > _EPS)[:, None, :] & (np.abs(refs) > _EPS)[None, :, :]
+    # A term is unusable where either magnitude is sub-eps; NaN magnitudes
+    # compare False, so NaN entries are unusable too.
+    dead_queries = ~(np.abs(queries) > _EPS)
+    dead_refs = ~(np.abs(refs) > _EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         if method == ShapeDistance.L1:
-            terms = np.abs(1.0 / queries[:, None, :] - 1.0 / refs[None, :, :])
-            scores = np.where(usable, terms, 0.0).sum(axis=2)
+            scores = _summed_block(1.0 / queries, 1.0 / refs, dead_queries, dead_refs)
         elif method == ShapeDistance.L2:
-            terms = np.abs(queries[:, None, :] - refs[None, :, :])
-            scores = np.where(usable, terms, 0.0).sum(axis=2)
+            scores = _summed_block(queries, refs, dead_queries, dead_refs)
         elif method == ShapeDistance.L3:
-            terms = (
-                np.abs(queries[:, None, :] - refs[None, :, :])
-                / np.abs(queries)[:, None, :]
-            )
-            scores = np.where(usable, terms, -np.inf).max(axis=2)
+            scores = _l3_block(queries, refs, dead_queries, dead_refs)
         else:
             raise ImageError(f"unknown shape distance {method!r}")
-    scores = np.asarray(scores, dtype=np.float64)
-    scores[~usable.any(axis=2)] = 0.0
     scores[:, nan_refs] = np.inf
     scores[nan_queries, :] = np.inf
+    return scores
+
+
+def _summed_block(
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    dead_queries: np.ndarray,
+    dead_refs: np.ndarray,
+) -> np.ndarray:
+    """L1 / L2 ``sum_k |lhs_k - rhs_k|`` over usable terms, tile by tile.
+
+    With no usable term a cell sums seven +0.0s, which is already the 0.0
+    the scalar kernel returns for it.
+    """
+
+    def usable_terms(rows: slice, cols: slice, out: np.ndarray) -> None:
+        np.subtract(lhs[rows, None, :], rhs[None, cols, :], out=out)
+        np.abs(out, out=out)
+        np.copyto(out, 0.0, where=dead_queries[rows, None, :])
+        np.copyto(out, 0.0, where=dead_refs[None, cols, :])
+
+    return tiled_sums(lhs.shape[0], rhs.shape[0], lhs.shape[1], usable_terms)
+
+
+def _l3_block(
+    queries: np.ndarray,
+    refs: np.ndarray,
+    dead_queries: np.ndarray,
+    dead_refs: np.ndarray,
+) -> np.ndarray:
+    """L3 ``max_k |q_k - r_k| / |q_k|`` over usable terms, one term per pass."""
+    scores = np.full((queries.shape[0], refs.shape[0]), -np.inf)
+    term = np.zeros_like(scores)
+    magnitudes = np.abs(queries)
+    for k in range(queries.shape[1]):
+        np.subtract(queries[:, k, None], refs[None, :, k], out=term)
+        np.abs(term, out=term)
+        np.divide(term, magnitudes[:, k, None], out=term)
+        np.copyto(term, -np.inf, where=dead_queries[:, k, None])
+        np.copyto(term, -np.inf, where=dead_refs[None, :, k])
+        np.maximum(scores, term, out=scores)
+    # A usable term is >= 0 or NaN, so -inf marks exactly the cells with no
+    # usable term, which score 0.0.
+    scores[scores == -np.inf] = 0.0
     return scores
 
 

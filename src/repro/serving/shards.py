@@ -77,7 +77,7 @@ from repro.errors import (
 from repro.index.twostage import validate_shortlist
 from repro.pipelines.base import Prediction, RecognitionPipeline
 from repro.serving.health import HealthPolicy, ShardHealth
-from repro.serving.service import _FrontEnd
+from repro.serving.service import _FrontEnd, _PendingRequest
 from repro.store.attach import ReferenceStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -197,6 +197,20 @@ class SwapReport:
     shards: int
 
 
+#: One query's champion within a shard: ``(score, global_index, label,
+#: model_id)``.
+Champion = tuple[float, int, str, str]
+
+#: A shard block's answer for one query: its champion, or the exception
+#: that query alone raised (see :func:`_isolated`).
+Slot = Champion | Exception
+
+#: A champion finder over one attached row range: ``(pipeline, start,
+#: queries) -> champions``.
+ChampionFn = Callable[
+    [RecognitionPipeline, int, list[LabelledImage]], list[Champion]
+]
+
 #: One attached shard pipeline per (task) per worker process.  Plain memo —
 #: each worker process is single-threaded, and the key includes the store
 #: version and epoch so a new publish or hot-swap naturally re-attaches.
@@ -227,7 +241,7 @@ def _shard_pipeline(task: ShardTask) -> RecognitionPipeline:
 
 def _brute_champions(
     pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
-) -> list[tuple[float, int, str, str]]:
+) -> list[Champion]:
     """Exact per-query champions of one attached row range, brute force.
 
     Shared by the worker scoring path and the front-end rescue path, so a
@@ -241,7 +255,7 @@ def _brute_champions(
         higher_is_better = bool(getattr(pipeline, "higher_is_better", False))
     best = scores.argmax(axis=1) if higher_is_better else scores.argmin(axis=1)
     references = pipeline.references
-    out: list[tuple[float, int, str, str]] = []
+    out: list[Champion] = []
     for row, local in zip(scores, best):
         winner = references[int(local)]
         out.append(
@@ -255,46 +269,79 @@ def _brute_champions(
     return out
 
 
+def _indexed_champions(
+    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
+) -> list[Champion]:
+    """Per-query champions of one row range through its attached index.
+
+    Champion row + exact score per query, without the ``(Q, V_shard)``
+    score matrix.  Scores are bit-identical to the brute rows whenever the
+    true shard champion is shortlisted, so the merge semantics are the same.
+    """
+    references = pipeline.references
+    out: list[Champion] = []
+    for hit in pipeline.champion_batch(queries):  # type: ignore[attr-defined]
+        winner = references[hit.row]
+        out.append((hit.score, start + hit.row, winner.label, winner.model_id))
+    return out
+
+
+def _isolated(
+    champions: ChampionFn,
+    pipeline: RecognitionPipeline,
+    start: int,
+    queries: list[LabelledImage],
+) -> list[Slot]:
+    """*champions* over the block; if it raises, query by query.
+
+    One malformed query then fails alone: its slot holds the exception it
+    raised and every other slot its champion, so the shard itself has not
+    failed.  The worker, hedge and rescue legs all score through here.
+    """
+    try:
+        return list(champions(pipeline, start, queries))
+    except Exception:
+        slots: list[Slot] = []
+        for query in queries:
+            try:
+                slots.extend(champions(pipeline, start, [query]))
+            except Exception as exc:
+                slots.append(exc)
+        return slots
+
+
 def _score_shard(
     task: ShardTask, queries: list[LabelledImage], dispatch_key: str = ""
-) -> list[tuple[float, int, str, str]]:
+) -> list[Slot]:
     """Worker entry point: each query's champion within this shard.
 
-    Returns one ``(score, global_index, label, model_id)`` per query; the
-    index is global (shard start + local argmin) so the front-end merge can
-    reproduce the whole-matrix first-index tie rule.  Module-level so the
-    process backend can pickle it by reference.  *dispatch_key* names the
-    flush (plus a ``h``/``r`` leg suffix for hedges and replays) and feeds
-    the task's seeded chaos plan, when one is attached.
+    Returns one ``(score, global_index, label, model_id)`` per query, or the
+    exception a query raised alone (:func:`_isolated`); the index is global
+    (shard start + local argmin) so the front-end merge can reproduce the
+    whole-matrix first-index tie rule.  Module-level so the process backend
+    can pickle it by reference.  *dispatch_key* names the flush (plus a
+    ``h``/``r`` leg suffix for hedges and replays) and feeds the task's
+    seeded chaos plan, when one is attached.
     """
     if task.chaos is not None:
         apply_shard_chaos(task.chaos, task.start, dispatch_key)
     pipeline = _shard_pipeline(task)
     if getattr(pipeline, "index_attached", False):
-        # Two-stage path: champion row + exact score per query, without the
-        # (Q, V_shard) score matrix.  Scores are bit-identical to the brute
-        # rows whenever the true shard champion is shortlisted, so the
-        # merge semantics below are unchanged.
-        references = pipeline.references
-        out = []
-        for hit in pipeline.champion_batch(queries):  # type: ignore[attr-defined]
-            winner = references[hit.row]
-            out.append(
-                (hit.score, task.start + hit.row, winner.label, winner.model_id)
-            )
-        return out
-    return _brute_champions(pipeline, task.start, queries)
+        return _isolated(_indexed_champions, pipeline, task.start, queries)
+    return _isolated(_brute_champions, pipeline, task.start, queries)
 
 
 def merge_champions(
-    per_shard: Sequence[Sequence[tuple[float, int, str, str]]],
+    per_shard: Sequence[Sequence[Slot]],
     higher_is_better: bool = False,
-) -> list[tuple[float, int, str, str]]:
+) -> list[Slot]:
     """Reduce per-shard champions to the global winner per query.
 
     Lexicographic on ``(score, global_index)`` — score ascending (or
     descending when *higher_is_better*), then lowest index — which equals
     NumPy's argmin/argmax first-index rule over the concatenated score row.
+    A query that raised on any shard keeps the first exception in its slot:
+    it has no winner, and it does not disturb the other queries' merge.
 
     Empty champion blocks (a shard whose every row was ejected from the
     reduction upstream) are skipped: the merge seeds from the first
@@ -304,10 +351,15 @@ def merge_champions(
     blocks = [rows for rows in per_shard if len(rows) > 0]
     if not blocks:
         return []
-    merged: list[tuple[float, int, str, str]] = list(blocks[0])
+    merged: list[Slot] = list(blocks[0])
     for shard_rows in blocks[1:]:
         for query_index, candidate in enumerate(shard_rows):
             champion = merged[query_index]
+            if isinstance(champion, Exception):
+                continue
+            if isinstance(candidate, Exception):
+                merged[query_index] = candidate
+                continue
             better = (
                 candidate[0] > champion[0]
                 if higher_is_better
@@ -771,7 +823,7 @@ class ShardedRecognitionService(_FrontEnd):
 
     # -- flush path (micro-batcher thread) ------------------------------------
 
-    def _serve_block(self, live: list) -> None:
+    def _serve_block(self, live: list[_PendingRequest]) -> None:
         """Scatter the block over the current epoch's shards and merge.
 
         The epoch's tasks and health board are snapshotted atomically and
@@ -809,13 +861,22 @@ class ShardedRecognitionService(_FrontEnd):
             # screen half the block.  Applied post-merge so the cross-shard
             # first-index tie rule is decided before any rejection.
             threshold = self._threshold_model
-            predictions = [
-                Prediction(label=label, model_id=model_id, score=score, degraded=flag)
-                for (score, _, label, model_id), flag in zip(champions, flagged)
-            ]
-            if threshold is not None:
-                predictions = [threshold.apply(p) for p in predictions]
-            self._complete(live, predictions)
+            answered: list[_PendingRequest] = []
+            predictions: list[Prediction] = []
+            for request, champion, flag in zip(live, champions, flagged):
+                if isinstance(champion, Exception):
+                    # This query alone raised while being scored.
+                    self._serve_degraded(request, champion)
+                    continue
+                score, _, label, model_id = champion
+                prediction = Prediction(
+                    label=label, model_id=model_id, score=score, degraded=flag
+                )
+                if threshold is not None:
+                    prediction = threshold.apply(prediction)
+                answered.append(request)
+                predictions.append(prediction)
+            self._complete(answered, predictions)
         finally:
             with self._state_lock:
                 self._inflight[epoch] -= 1
@@ -829,7 +890,7 @@ class ShardedRecognitionService(_FrontEnd):
         board: Sequence[ShardHealth],
         queries: list[LabelledImage],
         dispatch_key: str,
-    ) -> tuple[list[tuple[float, int, str, str]], list[bool]]:
+    ) -> tuple[list[Slot], list[bool]]:
         """Scatter to healthy shards, hedge stragglers, rescue the sick.
 
         Returns ``(champions, flags)``: the merged global champion per
@@ -838,6 +899,8 @@ class ShardedRecognitionService(_FrontEnd):
         ``degraded`` (a healthy shard's winner is provably the fault-free
         winner: it beat the rescue path's *exact* brute-force champion, so
         it also beats anything a per-shard shortlist would have returned).
+        A query that alone raised has its exception for a champion, and
+        its shard still counts a success.
         """
         with self._pool_lock:
             pool = self._pool
@@ -855,7 +918,7 @@ class ShardedRecognitionService(_FrontEnd):
                 # Breaker open: skip the shard, serve its rows in-process.
                 rescue_positions.append(position)
         hedges = self._hedge_stragglers(pool, tasks, primaries, queries, dispatch_key)
-        blocks: dict[int, list[tuple[float, int, str, str]]] = {}
+        blocks: dict[int, list[Slot]] = {}
         for position in sorted(primaries):
             try:
                 blocks[position] = self._gather_shard(
@@ -882,7 +945,8 @@ class ShardedRecognitionService(_FrontEnd):
             for position in rescue_positions
         ]
         flags = [
-            any(start <= champion[1] < stop for start, stop in rescued_ranges)
+            not isinstance(champion, Exception)
+            and any(start <= champion[1] < stop for start, stop in rescued_ranges)
             for champion in champions
         ]
         return champions, flags
@@ -917,7 +981,7 @@ class ShardedRecognitionService(_FrontEnd):
         primary: Future,
         hedge: Future | None,
         started: float,
-    ) -> list[tuple[float, int, str, str]]:
+    ) -> list[Slot]:
         """One shard's block: primary result, or the winner of a hedge race."""
         if hedge is None:
             block = primary.result()
@@ -942,23 +1006,28 @@ class ShardedRecognitionService(_FrontEnd):
         self._audit_hedge(loser, block)
         return block
 
-    def _audit_hedge(
-        self, loser: Future, served_block: list[tuple[float, int, str, str]]
-    ) -> None:
+    def _audit_hedge(self, loser: Future, served_block: list[Slot]) -> None:
         """Compare the losing leg to the served block once it lands.
 
         Both legs score the same immutable rows with the same kernels, so
         any bitwise disagreement is a real divergence: it is counted
         (``hedge_mismatches``) for the chaos suites to assert on; the
-        served block is kept either way.
+        served block is kept either way.  Failed slots agree when both
+        legs raised the same exception type with the same arguments.
         """
+
+        def _comparable(block: list[Slot]) -> list[object]:
+            return [
+                (type(slot), slot.args) if isinstance(slot, Exception) else slot
+                for slot in block
+            ]
 
         def _compare(future: Future) -> None:
             try:
                 block = future.result()
             except Exception:
                 return  # the losing leg failed outright; nothing to audit
-            if block != served_block:
+            if _comparable(block) != _comparable(served_block):
                 self.stats.record_hedge_mismatch()
 
         loser.add_done_callback(_compare)
@@ -967,7 +1036,7 @@ class ShardedRecognitionService(_FrontEnd):
 
     def _rescue_shard(
         self, task: ShardTask, queries: list[LabelledImage]
-    ) -> list[tuple[float, int, str, str]]:
+    ) -> list[Slot]:
         """Serve one sick shard's rows in the front-end process, exactly.
 
         Brute-force scores the shard's row range through the same kernels
@@ -976,7 +1045,9 @@ class ShardedRecognitionService(_FrontEnd):
         still flagged degraded because the fault-free run may have served
         the range through its per-shard index.
         """
-        return _brute_champions(self._rescue_pipeline(task), task.start, queries)
+        return _isolated(
+            _brute_champions, self._rescue_pipeline(task), task.start, queries
+        )
 
     def _rescue_pipeline(self, task: ShardTask) -> RecognitionPipeline:
         key = (task.store_version, task.start, task.stop)

@@ -18,12 +18,14 @@ fire regardless of the seed, which only varies the blake2b draw values.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig, ServingSettings
-from repro.datasets.dataset import ImageDataset
+from repro.datasets.dataset import ImageDataset, LabelledImage
 from repro.engine.cache import FeatureCache
 from repro.engine.chaos import ShardChaos, truncate_file
+from repro.errors import ImageError
 from repro.serving.registry import default_registry
 from repro.serving.shards import ShardedRecognitionService
 from repro.store import build_store
@@ -75,6 +77,13 @@ def served(tmp_path_factory):
     single = default_registry().build("shape-only", config).fit(references)
     expected = single.predict_batch(queries)
     return config, references, queries, expected, str(root / "store")
+
+
+def malformed_query():
+    """A 4-channel image: extraction raises ImageError for it alone."""
+    return LabelledImage(
+        image=np.zeros((8, 8, 4)), label="bad", source="nyu", model_id="bad", view_id=0
+    )
 
 
 def serve_all(service, queries):
@@ -205,6 +214,35 @@ class TestInjectedShardFaults:
         assert report.completed == len(queries)
         assert report.failed == 0
 
+    def test_rescue_fails_a_malformed_query_alone(self, served):
+        # Every primary errors, so the in-process rescue scores each flush.
+        # A flush holding a malformed query and a good one fails only the
+        # malformed one; the good answer is exact and flagged degraded.
+        config, _, queries, expected, store_dir = served
+        service = ShardedRecognitionService(
+            "shape-only",
+            store_dir,
+            workers=2,
+            settings=ServingSettings(max_batch_size=2, max_wait_ms=500.0),
+            config=config,
+            chaos=ShardChaos(seed=CHAOS_SEED + 11, error_rate=1.0),
+        )
+        with service:
+            bad = service.submit(malformed_query())
+            good = service.submit(queries[0])
+            with pytest.raises(ImageError):
+                bad.result(timeout=60.0)
+            answer = good.result(timeout=60.0)
+            report = service.report()
+        assert report.batches == 1 and report.rescued > 0
+        assert report.failed == 1 and report.completed == 1
+        assert answer.degraded
+        assert (answer.label, answer.model_id, answer.score) == (
+            expected[0].label,
+            expected[0].model_id,
+            expected[0].score,
+        )
+
 
 class TestHedgedDispatch:
     def test_stragglers_are_hedged_and_bit_identical(self, served):
@@ -237,6 +275,41 @@ class TestHedgedDispatch:
         assert [(p.label, p.model_id, p.score) for p in got] == [
             (p.label, p.model_id, p.score) for p in expected
         ]
+
+    def test_a_malformed_query_fails_alone_on_both_legs(self, served):
+        # Both legs re-score the failed block query by query and return the
+        # same exception in the bad query's slot: the audit agrees, and
+        # neither leg counts as a shard error.
+        config, _, queries, expected, store_dir = served
+        settings = ServingSettings(
+            max_batch_size=4,
+            max_wait_ms=5.0,
+            hedge_after_ms=20.0,
+            spare_workers=2,
+        )
+        service = ShardedRecognitionService(
+            "shape-only",
+            store_dir,
+            workers=2,
+            settings=settings,
+            config=config,
+            chaos=ShardChaos(seed=CHAOS_SEED + 13, slow_rate=1.0, slow_s=0.4),
+        )
+        with service:
+            with pytest.raises(ImageError):
+                service.recognize(malformed_query())
+            good = service.recognize(queries[0])
+        report = service.report()  # after stop: every losing leg has landed
+        assert report.hedges > 0
+        assert report.hedge_mismatches == 0
+        assert report.failed == 1 and report.shard_errors == 0
+        assert report.rescued == 0
+        assert (good.label, good.model_id, good.score, good.degraded) == (
+            expected[0].label,
+            expected[0].model_id,
+            expected[0].score,
+            False,
+        )
 
 
 class TestMidFlightCorruption:

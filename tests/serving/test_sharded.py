@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig, ServingSettings
-from repro.datasets.dataset import ImageDataset
+from repro.datasets.dataset import ImageDataset, LabelledImage
 from repro.engine.cache import FeatureCache
-from repro.errors import ServingError, StoreError
+from repro.errors import ImageError, ServingError, StoreError
 from repro.serving.registry import default_registry
 from repro.serving.shards import (
     ShardedRecognitionService,
@@ -109,6 +109,17 @@ class TestMergeChampions:
         ]
         merged = merge_champions(per_shard, higher_is_better=True)
         assert merged == [(0.95, 9, "c", "m9")]
+
+    def test_a_failed_slot_stays_failed_and_leaves_the_rest(self):
+        fault = ImageError("bad query")
+        per_shard = [
+            [(0.5, 0, "a", "m0"), fault],
+            [(0.1, 7, "b", "m7"), (0.2, 8, "b", "m8")],
+        ]
+        assert merge_champions(per_shard) == [(0.1, 7, "b", "m7"), fault]
+        later = ImageError("bad query on the second shard")
+        per_shard = [[(0.5, 0, "a", "m0"), fault], [(0.1, 7, "b", "m7"), later]]
+        assert merge_champions(per_shard)[1] is fault
 
     def test_empty_champion_blocks_are_skipped(self):
         # A shard whose rows were all served elsewhere (ejected upstream)
@@ -220,3 +231,50 @@ class TestShardedService:
         config, _, _, store_dir = served
         with pytest.raises(StoreError, match="attach_store"):
             ShardedRecognitionService("most-frequent", store_dir, config=config)
+
+
+class TestShardedFailureIsolation:
+    def test_malformed_query_fails_alone(self, served):
+        # Sharded twin of the in-process batch isolation test: a block
+        # holding one 4-channel image fails only that request.  The shards
+        # re-score the block query by query, count a success, and stay
+        # healthy (breaker closed), so nothing is rescued in process.
+        config, references, queries, store_dir = served
+        good = queries[:7]
+        bad = LabelledImage(
+            image=np.zeros((8, 8, 4)),
+            label="bad",
+            source="nyu",
+            model_id="bad",
+            view_id=0,
+        )
+        single = default_registry().build("hybrid", config).fit(references)
+        expected = single.predict_batch(good)
+        service = ShardedRecognitionService(
+            "hybrid",
+            store_dir,
+            workers=2,
+            settings=ServingSettings(max_batch_size=8, max_wait_ms=50.0),
+            config=config,
+        )
+        failures = 0
+        answers = []
+        with service:
+            for flush in range(4):  # more flushes than health_eject_consecutive
+                block = good[:flush] + [bad] + good[flush:]
+                futures = [service.submit(query) for query in block]
+                for query, future in zip(block, futures):
+                    if query is bad:
+                        with pytest.raises(ImageError):
+                            future.result(timeout=60.0)
+                        failures += 1
+                    else:
+                        answers.append(future.result(timeout=60.0))
+            health = service.health_report()
+            report = service.report()
+        assert failures == 4 and report.failed == 4
+        assert [(p.label, p.model_id, p.score, p.degraded) for p in answers] == [
+            (p.label, p.model_id, p.score, False) for p in expected
+        ] * 4
+        assert [snapshot["state"] for snapshot in health.values()] == ["healthy"] * 2
+        assert report.rescued == 0 and report.shard_errors == 0
