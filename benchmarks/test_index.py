@@ -55,14 +55,16 @@ def _library(config, views: int):
     )
 
 
-def _best_seconds(fn, repeats: int = TIMING_REPEATS) -> float:
-    best = None
+def _best_seconds_interleaved(first, second, repeats: int = TIMING_REPEATS):
+    """Best-of-*repeats* seconds of *first* and of *second*, timed
+    alternately within each repeat so host drift lands on both sides."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best
+        for side, fn in enumerate((first, second)):
+            started = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], best[1]
 
 
 def test_indexed_retrieval_speedup(benchmark):
@@ -104,13 +106,14 @@ def test_indexed_retrieval_speedup(benchmark):
                     return [retriever.champion(f) for f in features]
 
                 brute = brute_sweep()
-                brute_seconds = _best_seconds(brute_sweep)
                 if size == views and name == SPEEDUP_PIPELINE:
                     # The headline number rides the pytest-benchmark timer.
                     indexed = run_once(benchmark, indexed_sweep)
                 else:
                     indexed = indexed_sweep()
-                indexed_seconds = _best_seconds(indexed_sweep)
+                brute_seconds, indexed_seconds = _best_seconds_interleaved(
+                    brute_sweep, indexed_sweep
+                )
 
                 agree = [b.row == i.row for b, i in zip(brute, indexed)]
                 assert all(

@@ -20,63 +20,63 @@ timings block, and ``repro engine`` runs a small dedicated engine demo::
 
 Serving commands (see README "Serving"): ``repro serve`` warm-starts the
 online recognition service and drives a concurrent request stream through
-it; ``repro loadgen`` runs the seeded load generator and writes
-``BENCH_serving.json``; ``repro patrol --serve`` routes the robot's
-observations through the service::
+it; ``repro patrol --serve`` routes the robot's observations through the
+service.  Throughput and latency are measured by ``perfbench/run.py``::
 
     repro serve --pipeline hybrid --requests 200 --clients 32
-    repro loadgen --mode open --rate 500 --fallback most-frequent
     repro patrol --serve --deadline-ms 50
 
 Store commands (see README "Reference store"): ``repro store build``
 publishes a memory-mapped reference-feature artifact, ``repro store
 verify`` re-hashes every shard against its manifest; ``--workers N`` on
-``serve``/``loadgen`` switches to the multi-process sharded topology that
-attaches the store zero-copy per worker::
+``serve`` switches to the multi-process sharded topology that attaches the
+store zero-copy per worker::
 
     repro store build --store-dir .repro-store
     repro store verify --store-dir .repro-store
     repro serve --workers 2 --store-dir .repro-store
-    repro loadgen --workers 2 --slo-p99-ms 250
 
 Open-set commands (see README "Open-set recognition & enrollment"):
 ``repro openset calibrate`` fits per-pipeline rejection thresholds on the
 seeded reference library and publishes them as a content-addressed
 calibration artifact; ``repro openset eval`` runs the seeded class-holdout
-evaluation and writes ``BENCH_openset.json``; ``repro loadgen
---unknown-rate`` injects held-out-class queries under a calibrated
-threshold, and ``--enroll-rate`` enrolls novel classes into the live
-sharded service mid-run::
+evaluation and writes ``BENCH_openset.json``::
 
     repro openset calibrate --store-dir .repro-store
     repro openset eval --seed 7 --min-color-auroc 0.8
-    repro loadgen --workers 2 --unknown-rate 0.2 --enroll-rate 0.02
 
 Index commands (see README "Indexed retrieval"): ``repro index build``
 renders the seeded reference library, publishes it as a store and grows
 the two-stage retrieval index over it; ``repro index stats`` reports index
 geometry and the shard plan of an existing store; ``repro index audit``
 measures recall@top-1 of indexed-vs-brute champions over a seeded query
-sweep; ``repro loadgen --index`` serves through the indexed path::
+sweep::
 
     repro index build --library-models 10 --library-views 20
     repro index stats --store-dir .repro-store --workers 2
     repro index audit --shortlist-k 64 --output AUDIT_index.json
-    repro loadgen --index --shortlist-k 32
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
 from repro import experiments
-from repro.config import EngineSettings, ExperimentConfig, ServingSettings
+from repro.config import EngineSettings, ExperimentConfig, ServingSettings, rng
+
+if TYPE_CHECKING:
+    from repro.datasets.dataset import LabelledImage
+    from repro.pipelines.base import Prediction
+    from repro.serving.service import RecognitionService
+    from repro.serving.shards import ShardedRecognitionService
 
 
-#: Shortlist size used when ``--index`` is passed without ``--shortlist-k``.
+#: Shortlist size the index commands use without ``--shortlist-k``.
 DEFAULT_SHORTLIST_K = 64
 
 
@@ -305,6 +305,43 @@ def _make_serving_settings(args: argparse.Namespace) -> ServingSettings:
     )
 
 
+def build_workload(config: ExperimentConfig, requests: int) -> list[LabelledImage]:
+    """*requests* NYUSet crops in a seeded shuffled order (cycled when the
+    scaled set is smaller than the request count)."""
+    from repro.datasets.nyu import build_nyu
+
+    crops = list(build_nyu(config))
+    order = rng(config.seed).permutation(len(crops))
+    return [crops[int(order[i % len(crops)])] for i in range(requests)]
+
+
+def _drive_closed_loop(
+    service: RecognitionService | ShardedRecognitionService,
+    queries: Sequence[LabelledImage],
+    clients: int,
+) -> list[Prediction | None]:
+    """*clients* callers in lockstep with their own completions; a rejected
+    or failed request leaves ``None``."""
+    results: list[Prediction | None] = [None] * len(queries)
+
+    def client(start: int) -> None:
+        for index in range(start, len(queries), clients):
+            try:
+                results[index] = service.recognize(queries[index])
+            except Exception:
+                pass  # rejected or failed: the service's stats count it
+
+    threads = [
+        threading.Thread(target=client, args=(start,), name=f"client-{start}")
+        for start in range(min(clients, len(queries)))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
+
+
 def _cmd_serve(args: argparse.Namespace) -> str:
     """Warm-start the recognition service and drive a request stream.
 
@@ -318,7 +355,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     import tempfile
 
     from repro.datasets.shapenet import build_sns1
-    from repro.serving.loadgen import _drive_closed_loop, build_workload
     from repro.serving.service import RecognitionService
 
     config = _make_config(args)
@@ -379,59 +415,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         f"  accuracy {correct}/{len(queries)} over the request stream",
     ]
     return "\n".join(lines)
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> tuple[str, int]:
-    """Run the seeded load generator and write ``BENCH_serving.json``.
-
-    Exit code 1 when a ``--slo-p99-ms`` assertion is violated, so CI can
-    gate on the SLO without parsing the payload.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.serving.loadgen import format_loadgen_report, run_loadgen
-
-    shortlist_k = args.shortlist_k
-    if shortlist_k is None and args.index:
-        shortlist_k = DEFAULT_SHORTLIST_K
-    payload = run_loadgen(
-        pipeline_name=args.pipeline,
-        config=_make_config(args),
-        settings=_make_serving_settings(args),
-        requests=args.requests,
-        clients=args.clients,
-        mode=args.mode,
-        rate_hz=args.rate,
-        fallback=args.fallback,
-        workers=args.workers or 1,
-        store_dir=args.store_dir,
-        slo_p99_ms=args.slo_p99_ms,
-        slo_max_degraded=args.slo_max_degraded,
-        shortlist_k=shortlist_k,
-        swap_mid_run=args.swap_mid_run,
-        unknown_rate=args.unknown_rate,
-        enroll_rate=args.enroll_rate,
-    )
-    default_output = (
-        "BENCH_openset.json"
-        if args.unknown_rate > 0 or args.enroll_rate > 0
-        else "BENCH_serving.json"
-    )
-    output = Path(args.output or default_output)
-    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    slo = payload.get("slo")
-    code = 1 if slo is not None and slo["violations"] else 0
-    enroll = payload.get("enroll")
-    if enroll is not None and (
-        enroll["post_enroll_failures"]
-        or enroll["errors"]
-        or payload["prediction_mismatches"]
-    ):
-        # Enrollment acceptance gate: every enrolled class recognizable,
-        # zero closed-set champion mismatches through the swaps.
-        code = 1
-    return format_loadgen_report(payload) + f"\n  wrote {output}", code
 
 
 def _cmd_store(args: argparse.Namespace) -> tuple[str, int]:
@@ -804,7 +787,6 @@ _COMMANDS = {
     "patrol": _cmd_patrol,
     "engine": _cmd_engine,
     "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
     "store": _cmd_store,
     "index": _cmd_index,
     "openset": _cmd_openset,
@@ -958,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine command: cap the query set size (0 = all)",
     )
     serving = parser.add_argument_group(
-        "serving", "online recognition service (serve / loadgen / patrol --serve)"
+        "serving", "online recognition service (serve / patrol --serve)"
     )
     serving.add_argument(
         "--pipeline",
@@ -977,19 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=32,
         help="concurrent closed-loop callers",
-    )
-    serving.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help="loadgen: closed loop (fixed concurrency) or open loop "
-        "(seeded Poisson arrivals)",
-    )
-    serving.add_argument(
-        "--rate",
-        type=float,
-        default=200.0,
-        help="loadgen: open-loop arrival rate in requests/second",
     )
     serving.add_argument(
         "--max-batch-size",
@@ -1027,22 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--output",
         default=None,
-        help="where to write the JSON payload (loadgen: BENCH_serving.json; "
-        "index audit: AUDIT_index.json)",
-    )
-    serving.add_argument(
-        "--slo-p99-ms",
-        type=float,
-        default=None,
-        help="loadgen: p99 latency SLO in milliseconds; a violated SLO "
-        "exits 1 (for CI gating)",
-    )
-    serving.add_argument(
-        "--slo-max-degraded",
-        type=int,
-        default=None,
-        help="loadgen: maximum tolerated degraded + rejected request count; "
-        "exceeding it exits 1 (for CI gating of chaos/swap runs)",
+        help="where to write the JSON payload (index audit: AUDIT_index.json; "
+        "openset eval: BENCH_openset.json)",
     )
     serving.add_argument(
         "--hedge-ms",
@@ -1051,13 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded serving: hedge a straggler shard's sub-batch to a "
         "spare worker after this many milliseconds (default: hedging off)",
     )
-    serving.add_argument(
-        "--swap-mid-run",
-        action="store_true",
-        help="loadgen: publish a second store version and hot-swap the "
-        "sharded service onto it while the workload is in flight "
-        "(requires --workers >= 2)",
-    )
     store = parser.add_argument_group(
         "store", "memory-mapped reference store (store build / store verify)"
     )
@@ -1065,23 +1013,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help="store directory (store commands default to .repro-store; "
-        "serve/loadgen --workers default to a temporary store)",
+        "serve --workers defaults to a temporary store)",
     )
     index = parser.add_argument_group(
         "index", "two-stage retrieval tier (index build / stats / audit)"
     )
     index.add_argument(
-        "--index",
-        action="store_true",
-        help="loadgen: serve through the indexed retrieval path "
-        f"(shortlist K defaults to {DEFAULT_SHORTLIST_K})",
-    )
-    index.add_argument(
         "--shortlist-k",
         type=_positive_int,
         default=None,
-        help="coarse-stage shortlist size K (implies --index on loadgen; "
-        f"index commands default to {DEFAULT_SHORTLIST_K})",
+        help="coarse-stage shortlist size K for the index commands "
+        f"(default {DEFAULT_SHORTLIST_K})",
     )
     index.add_argument(
         "--library-models",
@@ -1105,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 8 16 32 and --shortlist-k)",
     )
     openset = parser.add_argument_group(
-        "openset", "open-set rejection and live enrollment (openset / loadgen)"
+        "openset", "open-set rejection thresholds (openset calibrate / eval)"
     )
     openset.add_argument(
         "--holdout",
@@ -1125,21 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="openset eval: exit 1 unless some colour pipeline reaches this "
         "known-vs-unknown AUROC (for CI gating)",
-    )
-    openset.add_argument(
-        "--unknown-rate",
-        type=float,
-        default=0.0,
-        help="loadgen: replace this fraction of requests with held-out-class "
-        "unknowns and score the calibrated rejection online",
-    )
-    openset.add_argument(
-        "--enroll-rate",
-        type=float,
-        default=0.0,
-        help="loadgen: enroll roughly this fraction of the request count as "
-        "novel-class views while the workload is in flight "
-        "(requires --workers >= 2)",
     )
     lint = parser.add_argument_group("lint", "reprolint static analysis")
     lint.add_argument(

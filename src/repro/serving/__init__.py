@@ -1,5 +1,5 @@
-"""Online recognition service: micro-batching, admission control, serving
-statistics and a seeded load generator.
+"""Online recognition service: micro-batching, admission control and
+serving statistics.
 
 This is the latency-bound front door to the batch-scoring engine: where the
 offline :class:`~repro.engine.executor.ParallelExecutor` sweeps a known
@@ -18,8 +18,6 @@ kernels through dynamic micro-batching.
 * :class:`~repro.serving.stats.ServiceStats` / :class:`~repro.serving.
   stats.ServingReport` — queue depth, batch-size histogram, p50/p95/p99
   latency, degraded/rejected counts;
-* :mod:`~repro.serving.loadgen` — seeded open/closed-loop load generation
-  emitting ``BENCH_serving.json``;
 * :mod:`~repro.serving.shards` — multi-process fan-out: class-aligned
   reference shards served by worker processes attached zero-copy to a
   memory-mapped :mod:`repro.store` artifact, merged bit-identically to the
@@ -38,12 +36,6 @@ from repro.errors import (
     ServingError,
 )
 from repro.serving.batcher import MicroBatcher
-from repro.serving.loadgen import (
-    LOAD_MODES,
-    build_workload,
-    format_loadgen_report,
-    run_loadgen,
-)
 from repro.serving.registry import PipelineRegistry, default_registry
 from repro.serving.service import RecognitionService
 from repro.serving.shards import (
@@ -56,7 +48,6 @@ from repro.serving.stats import ServiceStats, ServingReport
 
 __all__ = [
     "DeadlineExceeded",
-    "LOAD_MODES",
     "MicroBatcher",
     "PipelineRegistry",
     "RecognitionService",
@@ -70,8 +61,5 @@ __all__ = [
     "ServingError",
     "ServingReport",
     "ServingSettings",
-    "build_workload",
     "default_registry",
-    "format_loadgen_report",
-    "run_loadgen",
 ]

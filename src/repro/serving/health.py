@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ServingError
+from repro.serving.stats import nearest_rank
 
 
 class ShardState(Enum):
@@ -181,7 +182,9 @@ class ShardHealth:
                 "ejections": self._ejections,
                 "probes": self._probes,
                 "window_errors": self._window_errors(),
-                "window_latency_p95_ms": round(self._latency_p95() * 1000.0, 3),
+                "window_latency_p95_ms": round(
+                    nearest_rank(self._latencies, (0.95,))[0] * 1000.0, 3
+                ),
             }
 
     # -- internals (re-entrant under the public methods' lock) ----------------
@@ -198,15 +201,6 @@ class ShardHealth:
 
     def _window_errors(self) -> int:
         return len(self._outcomes) - sum(self._outcomes)
-
-    def _latency_p95(self) -> float:
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        # Nearest-rank percentile over the window: deterministic, no
-        # interpolation, stable under any recording order.
-        rank = min(len(ordered) - 1, int(0.95 * (len(ordered) - 1) + 0.5))
-        return ordered[rank]
 
     def _eject(self) -> None:
         with self._lock:

@@ -20,7 +20,7 @@ shards are contiguous and ordered, picking the lexicographically best
 ``(score, global_index)`` across shards — score ascending (or descending
 for ``higher_is_better``), index ascending — reproduces NumPy's
 argmin/argmax first-index tie rule over the full matrix exactly.  The
-equivalence suite and the loadgen mismatch audit both pin this.
+sharded equivalence tests and perfbench's per-answer check both pin this.
 
 Resilience tier (see README "Resilience"):
 

@@ -3,24 +3,38 @@
 :class:`ServiceStats` is the thread-safe mutable collector the service and
 its micro-batcher write into while requests flow; :class:`ServingReport` is
 the immutable snapshot handed to callers — the serving counterpart of the
-engine's :class:`~repro.engine.instrument.RunStats`, rendered by
-:func:`~repro.evaluation.tables.format_timings_table`'s sibling
-:func:`format_serving_report` and serialised into ``BENCH_serving.json``
-by the load generator.
+engine's :class:`~repro.engine.instrument.RunStats`, rendered as one line
+by :meth:`ServingReport.summary`.
 
 Latency is measured per request from admission to response (so it includes
 queueing, batching wait and scoring); throughput is completed requests over
-the wall-clock span from the first admission to the last response.
+the wall-clock span from the first admission to the last response.  The
+percentiles cover the most recent :data:`LATENCY_WINDOW` completions, so the
+collector's memory stays bounded however long a service runs; every
+percentile in :mod:`repro.serving` is :func:`nearest_rank`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping, Sequence
 
-import numpy as np
+#: Completions whose latencies the reported percentiles cover.
+LATENCY_WINDOW = 4096
+
+
+def nearest_rank(values: Collection[float], fractions: Sequence[float]) -> list[float]:
+    """The *fractions* (in ``[0, 1]``) percentiles of *values* by nearest
+    rank: deterministic, no interpolation, stable under any recording
+    order.  All 0.0 when *values* is empty."""
+    if not values:
+        return [0.0] * len(fractions)
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    return [ordered[int(q * last + 0.5)] for q in fractions]
 
 
 @dataclass(frozen=True)
@@ -32,8 +46,9 @@ class ServingReport:
     ``degraded`` (served by the fallback stage after a primary failure or an
     expired deadline — ``expired`` is the deadline subset).  ``failed``
     requests resolved with an exception.  ``batch_histogram`` maps flush
-    batch size to occurrence count; the latency fields are milliseconds over
-    all completed requests.
+    batch size to occurrence count.  The latency fields are milliseconds:
+    the percentiles over the most recent :data:`LATENCY_WINDOW` completed
+    requests, ``latency_max_ms`` over every completed request.
     """
 
     submitted: int = 0
@@ -112,41 +127,6 @@ class ServingReport:
             text += ", " + ", ".join(extras)
         return text
 
-    def as_dict(self) -> dict:
-        """JSON-ready form (histogram keys stringified, derived fields
-        included) — the shape ``BENCH_serving.json`` records."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "degraded": self.degraded,
-            "expired": self.expired,
-            "batches": self.batches,
-            "peak_queue_depth": self.peak_queue_depth,
-            "mean_batch_size": round(self.mean_batch_size, 3),
-            "batch_histogram": {
-                str(size): count for size, count in sorted(self.batch_histogram.items())
-            },
-            "latency_ms": {
-                "p50": round(self.latency_p50_ms, 3),
-                "p95": round(self.latency_p95_ms, 3),
-                "p99": round(self.latency_p99_ms, 3),
-                "max": round(self.latency_max_ms, 3),
-            },
-            "throughput_qps": round(self.throughput_qps, 2),
-            "wall_seconds": round(self.wall_seconds, 4),
-            "resilience": {
-                "shed": self.shed,
-                "shard_errors": self.shard_errors,
-                "rescued": self.rescued,
-                "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "hedge_mismatches": self.hedge_mismatches,
-                "swaps": self.swaps,
-            },
-        }
-
 
 class ServiceStats:
     """Thread-safe collector behind :class:`ServingReport`.
@@ -174,7 +154,8 @@ class ServiceStats:
         self._hedge_mismatches = 0
         self._swaps = 0
         self._batch_histogram: dict[int, int] = {}
-        self._latencies: list[float] = []
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._latency_max = 0.0
         self._first_submit: float | None = None
         self._last_resolve: float | None = None
 
@@ -207,6 +188,7 @@ class ServiceStats:
             if expired:
                 self._expired += 1
             self._latencies.append(latency_seconds)
+            self._latency_max = max(self._latency_max, latency_seconds)
             self._last_resolve = self._clock()
 
     def record_completed_many(self, latencies_seconds: list[float]) -> None:
@@ -217,6 +199,7 @@ class ServiceStats:
         with self._lock:
             self._completed += len(latencies_seconds)
             self._latencies.extend(latencies_seconds)
+            self._latency_max = max(self._latency_max, max(latencies_seconds))
             self._last_resolve = self._clock()
 
     def record_shed(self) -> None:
@@ -264,11 +247,7 @@ class ServiceStats:
     def snapshot(self, queue_depth: int = 0) -> ServingReport:
         """The current counters frozen into a :class:`ServingReport`."""
         with self._lock:
-            if self._latencies:
-                p50, p95, p99 = np.percentile(self._latencies, [50, 95, 99])
-                worst = max(self._latencies)
-            else:
-                p50 = p95 = p99 = worst = 0.0
+            p50, p95, p99 = nearest_rank(self._latencies, (0.50, 0.95, 0.99))
             wall = 0.0
             if self._first_submit is not None and self._last_resolve is not None:
                 wall = max(0.0, self._last_resolve - self._first_submit)
@@ -283,10 +262,10 @@ class ServiceStats:
                 peak_queue_depth=self._peak_depth,
                 queue_depth=queue_depth,
                 batch_histogram=dict(self._batch_histogram),
-                latency_p50_ms=float(p50) * 1000.0,
-                latency_p95_ms=float(p95) * 1000.0,
-                latency_p99_ms=float(p99) * 1000.0,
-                latency_max_ms=float(worst) * 1000.0,
+                latency_p50_ms=p50 * 1000.0,
+                latency_p95_ms=p95 * 1000.0,
+                latency_p99_ms=p99 * 1000.0,
+                latency_max_ms=self._latency_max * 1000.0,
                 wall_seconds=wall,
                 shed=self._shed,
                 shard_errors=self._shard_errors,

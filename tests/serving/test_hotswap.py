@@ -118,7 +118,9 @@ class TestStoreSwap:
         want = identity(cold_expected(swappable, v2))
         assert identity(post_swap) == want
         assert identity(pre_swap) == want * 3  # v1 == v2 by construction
-        assert service.report().degraded == 0
+        served = service.report()
+        assert (served.degraded, served.rejected, served.failed) == (0, 0, 0)
+        assert served.swaps == 1
 
     def test_corrupt_target_raises_and_rolls_back(self, swappable):
         config, _, queries, store_dir, v1, _, corrupt = swappable

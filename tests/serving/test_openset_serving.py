@@ -221,8 +221,8 @@ class TestEnrollWhileScoring:
             service.wait_drained(timeout=30.0)
             # The new class is recognizable immediately after the swap
             # commit (well within the two-flush acceptance bound).
-            taught = service.recognize(novel[0])
-            assert taught.label == "novel"
+            taught = [service.recognize(view) for view in novel]
+            assert [(t.label, t.degraded) for t in taught] == [("novel", False)] * 2
             # And not a single in-flight pre-existing champion moved: every
             # answer is bit-identical to the single-process baseline.
             mismatches = [

@@ -9,11 +9,14 @@ failure, retry routing and fallback degradation.  The lifecycle and
 deadline cases run over both services, which share one request front end.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
+from repro.cli import _drive_closed_loop, build_workload
 from repro.config import ServingSettings
+from repro.datasets.shapenet import build_sns1
 from repro.engine.chaos import ShardChaos
 from repro.errors import (
     DeadlineExceeded,
@@ -22,7 +25,6 @@ from repro.errors import (
     ServingError,
 )
 from repro.pipelines.fallback import FallbackPipeline
-from repro.serving.loadgen import build_workload, _drive_closed_loop
 from repro.serving.registry import default_registry
 from repro.serving.service import RecognitionService
 from repro.serving.shards import ShardedRecognitionService
@@ -97,21 +99,33 @@ def wait_dequeued(service):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("pipeline_name", ["shape-only", "hybrid"])
+    # The default seed keeps the bare pipeline id; seed 11 is a second,
+    # independent draw of references and queries.
+    @pytest.mark.parametrize(
+        "pipeline_name, seed",
+        [
+            pytest.param("shape-only", 7, id="shape-only"),
+            pytest.param("hybrid", 7, id="hybrid"),
+            pytest.param("shape-only", 11, id="shape-only-seed11"),
+            pytest.param("hybrid", 11, id="hybrid-seed11"),
+        ],
+    )
     def test_batched_answers_bitwise_equal_sequential(
-        self, pipeline_name, config, sns1
+        self, pipeline_name, seed, config, sns1
     ):
+        if seed != config.seed:
+            config = dataclasses.replace(config, seed=seed)
+            sns1 = build_sns1(config)
         pipeline = default_registry().warm_start(pipeline_name, sns1, config)
-        queries = build_workload(config, requests=24)
+        # 120 requests from 32 closed-loop clients under the default
+        # settings: the bounded queue must admit every one of them.
+        queries = build_workload(config, requests=120)
         pipeline.predict_batch(queries)  # warm the feature cache for both paths
         expected = [pipeline.predict(query) for query in queries]
 
-        service = RecognitionService(
-            pipeline,
-            settings=ServingSettings(max_batch_size=8, max_wait_ms=5.0),
-        ).start()
+        service = RecognitionService(pipeline, settings=ServingSettings()).start()
         try:
-            served = _drive_closed_loop(service, queries, clients=8)
+            served = _drive_closed_loop(service, queries, clients=32)
         finally:
             service.stop(drain=True)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, build_workload, main
+from repro.datasets.nyu import build_nyu
 
 
 class TestParser:
@@ -84,47 +85,43 @@ class TestParser:
 
 
 class TestServingFlags:
-    def test_serve_and_loadgen_commands_known(self):
-        parser = build_parser()
-        for command in ("serve", "loadgen"):
-            args = parser.parse_args([command])
-            assert args.command == command
+    def test_serve_command_known(self):
+        assert build_parser().parse_args(["serve"]).command == "serve"
 
     def test_serving_flags_parsed(self):
         args = build_parser().parse_args(
             [
-                "loadgen",
+                "serve",
                 "--pipeline", "shape-only",
                 "--requests", "64",
                 "--clients", "16",
-                "--mode", "open",
-                "--rate", "500",
                 "--max-batch-size", "16",
                 "--max-wait-ms", "1.5",
                 "--max-queue-depth", "99",
                 "--deadline-ms", "40",
                 "--fallback", "most-frequent",
-                "--output", "bench.json",
+                "--hedge-ms", "25",
+                "--workers", "2",
+                "--store-dir", "store",
             ]
         )
         assert args.pipeline == "shape-only"
         assert args.requests == 64
         assert args.clients == 16
-        assert args.mode == "open"
-        assert args.rate == pytest.approx(500.0)
         assert args.max_batch_size == 16
         assert args.max_wait_ms == pytest.approx(1.5)
         assert args.max_queue_depth == 99
         assert args.deadline_ms == pytest.approx(40.0)
         assert args.fallback == "most-frequent"
-        assert args.output == "bench.json"
+        assert args.hedge_ms == pytest.approx(25.0)
+        assert args.workers == 2
+        assert args.store_dir == "store"
 
     def test_serving_flag_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.pipeline == "hybrid"
         assert args.requests == 120
         assert args.clients == 32
-        assert args.mode == "closed"
         # None means "fall back to REPRO_SERVE_* / ServingSettings defaults".
         assert args.max_batch_size is None
         assert args.max_wait_ms is None
@@ -135,8 +132,6 @@ class TestServingFlags:
     def test_rejects_unknown_serving_pipeline(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--pipeline", "telepathy"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--mode", "sideways"])
 
 
 class TestMain:
@@ -267,26 +262,13 @@ class TestServeCommand:
         assert "accuracy" in out
 
 
-class TestLoadgenCommand:
-    def test_loadgen_writes_benchmark_json(self, capsys, tmp_path):
-        import json
+class TestBuildWorkload:
+    def test_seeded_and_deterministic(self, config):
+        first = build_workload(config, requests=10)
+        second = build_workload(config, requests=10)
+        assert [item.view_id for item in first] == [item.view_id for item in second]
 
-        output = tmp_path / "BENCH_serving.json"
-        code = main(
-            [
-                "loadgen",
-                "--pipeline", "most-frequent",
-                "--nyu-scale", "0.005",
-                "--requests", "8",
-                "--clients", "4",
-                "--output", str(output),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loadgen: 8 requests over most-frequent" in out
-        assert f"wrote {output}" in out
-        payload = json.loads(output.read_text())
-        assert payload["requests"] == 8
-        assert payload["prediction_mismatches"] == 0
-        assert payload["serving"]["completed"] == 8
+    def test_cycles_when_requests_exceed_the_set(self, config):
+        crops = len(build_nyu(config))
+        workload = build_workload(config, requests=crops + 5)
+        assert len(workload) == crops + 5
