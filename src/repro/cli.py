@@ -46,10 +46,10 @@ evaluation and writes ``BENCH_openset.json``::
     repro openset eval --seed 7 --min-color-auroc 0.8
 
 Index commands (see README "Indexed retrieval"): ``repro index build``
-renders the seeded reference library, publishes it as a store and grows
-the two-stage retrieval index over it; ``repro index stats`` reports index
-geometry and the shard plan of an existing store; ``repro index audit``
-measures recall@top-1 of indexed-vs-brute champions over a seeded query
+renders the seeded reference library, publishes it as a store and
+attaches the certified index over it; ``repro index stats`` reports each
+index and the shard plan of an existing store; ``repro index audit``
+checks that indexed champions equal brute force over a seeded query
 sweep::
 
     repro index build --library-models 10 --library-views 20
@@ -467,17 +467,17 @@ def _cmd_store(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
-    """Build, inspect or audit the two-stage retrieval tier.
+    """Build, inspect or audit the certified retrieval tier.
 
     ``repro index build`` renders the seeded reference library
     (``classes x --library-models x --library-views`` views), publishes it
-    as a store and grows an index for every indexable pipeline; ``repro
-    index stats`` reports index geometry plus the class-aligned shard plan
-    of an EXISTING store; ``repro index audit`` measures recall@top-1 of
+    as a store and attaches an index for every indexable pipeline; ``repro
+    index stats`` reports each index plus the class-aligned shard plan of
+    an EXISTING store; ``repro index audit`` measures recall@top-1 of
     indexed-vs-brute champions over the SNS2 query sweep and writes the
-    JSON payload.  The audit exits 1 when any agreeing champion score is
-    not bit-identical to brute force — that is a structural guarantee, not
-    a tuning knob (see :mod:`repro.index.twostage`).
+    JSON payload.  The audit exits 1 when any champion row or score is not
+    bit-identical to brute force — that is a structural guarantee, not a
+    tuning knob (see :mod:`repro.index.twostage`).
     """
     import json
     from pathlib import Path
@@ -498,7 +498,7 @@ def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
     def _geometry_lines(report: dict) -> list[str]:
         return [
             f"  {spec['pipeline']:<11} rows {spec['rows']:>6}  "
-            f"dim {spec['dim']:>3}  shortlist K={spec['shortlist_k']}  "
+            f"shortlist K={spec['shortlist_k']}  "
             f"mode {spec['scoring_mode']}"
             for spec in report["indexes"]
         ]
@@ -572,7 +572,7 @@ def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
         f"index: audit over {payload['queries']} queries v. "
         f"{payload['library_views']} views (K in {payload['ks']})"
     ]
-    score_exact = True
+    exact = True
     for row in payload["rows"]:
         lines.append(
             f"  {row['pipeline']:<11} K={row['k']:>5}  "
@@ -581,10 +581,10 @@ def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
             f"score_exact {row['score_exact']}  "
             f"exhaustive {row['exhaustive']}"
         )
-        score_exact = score_exact and row["score_exact"]
+        exact = exact and row["score_exact"] and row["agreements"] == row["queries"]
     lines.append(f"  wrote {output}")
-    if not score_exact:
-        lines.append("index: audit FAILED — re-ranked scores not bit-identical")
+    if not exact:
+        lines.append("index: audit FAILED — indexed champions differ from brute force")
         return "\n".join(lines), 1
     return "\n".join(lines), 0
 
@@ -1016,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve --workers defaults to a temporary store)",
     )
     index = parser.add_argument_group(
-        "index", "two-stage retrieval tier (index build / stats / audit)"
+        "index", "certified retrieval tier (index build / stats / audit)"
     )
     index.add_argument(
         "--shortlist-k",

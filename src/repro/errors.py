@@ -110,9 +110,8 @@ class StoreIntegrityError(StoreError):
 
 
 class RetrievalIndexError(ReproError):
-    """A two-stage retrieval index was misconfigured or misused (empty
-    library, bad shortlist size, dimension mismatch between a query
-    embedding and the indexed matrix)."""
+    """A retrieval index was misconfigured or misused (empty library, bad
+    shortlist size, a bound or re-rank of the wrong shape)."""
 
 
 class EvaluationError(ReproError):

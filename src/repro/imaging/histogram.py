@@ -269,7 +269,15 @@ def compare_histograms_batch(
         valid = h1 > 0
         q = h1[valid]
         diff = q[None, :] - refs[:, valid]
-        return (diff**2 / q[None, :]).sum(axis=1)
+        # Column by column, left to right, at every row count.  The
+        # boolean column mask yields a Fortran-ordered block, which NumPy
+        # reduces in this order for two or more rows but pairwise for one,
+        # so a one-row call would round differently from the same row of
+        # a full call.
+        scores = np.zeros(refs.shape[0])
+        for column in (diff**2 / q[None, :]).T:
+            scores += column
+        return scores
 
     if metric == HistogramMetric.INTERSECTION:
         return np.minimum(h1[None, :], refs).sum(axis=1)

@@ -202,12 +202,17 @@ def _l3_block(
     scores = np.full((queries.shape[0], refs.shape[0]), -np.inf)
     term = np.zeros_like(scores)
     magnitudes = np.abs(queries)
+    # One contiguous row per term, and masks only where a term is dead.
+    columns = np.ascontiguousarray(refs.T)
+    dead_columns = np.ascontiguousarray(dead_refs.T)
     for k in range(queries.shape[1]):
-        np.subtract(queries[:, k, None], refs[None, :, k], out=term)
+        np.subtract(queries[:, k, None], columns[None, k], out=term)
         np.abs(term, out=term)
         np.divide(term, magnitudes[:, k, None], out=term)
-        np.copyto(term, -np.inf, where=dead_queries[:, k, None])
-        np.copyto(term, -np.inf, where=dead_refs[None, :, k])
+        if dead_queries[:, k].any():
+            np.copyto(term, -np.inf, where=dead_queries[:, k, None])
+        if dead_columns[k].any():
+            np.copyto(term, -np.inf, where=dead_columns[None, k])
         np.maximum(scores, term, out=scores)
     # A usable term is >= 0 or NaN, so -inf marks exactly the cells with no
     # usable term, which score 0.0.

@@ -1,31 +1,18 @@
-"""Two-stage retrieval tier: coarse candidates + exact re-rank.
+"""Certified retrieval tier: one bound per flush, exact re-rank of survivors.
 
-Turns O(library) brute-force scoring into a KD-tree (or Hamming-sketch)
-shortlist followed by exact block-kernel re-ranking — bit-identical final
-scores whenever the true champion is shortlisted, audited recall where it
-is not.  See :mod:`repro.index.twostage` for the correctness argument and
-:mod:`repro.index.audit` for the recall harness.
+Turns O(library) brute-force scoring into a ``(Q, V)`` bound on every
+row's exact score (:mod:`repro.index.bounds`; the exact block kernel for
+the shape term) followed by exact re-ranking of only the rows that can
+still win.  The answer equals brute force for every query, row and float64
+score.  See :mod:`repro.index.twostage` for the correctness argument and
+:mod:`repro.index.audit` for the agreement harness.
 """
 
 from repro.index.audit import INDEXABLE_PIPELINES, recall_audit
+from repro.index.bounds import TAU_PER_BIN, HistogramBound
 from repro.index.build import build_index_report, shard_plan_report
-from repro.index.coarse import (
-    HammingSketchIndex,
-    KDTreeCoarseIndex,
-    sketch_matrix,
-    view_sketch,
-)
-from repro.index.embeddings import (
-    L3_TRUST_SPREAD,
-    SENTINEL_COORD,
-    histogram_embedding,
-    hybrid_embedding,
-    l3_query_spread,
-    shape_column_scales,
-    shape_missing_terms,
-    shape_signature_embedding,
-)
 from repro.index.twostage import (
+    BoundedQuery,
     RetrievalResult,
     TwoStageRetriever,
     validate_shortlist,
@@ -33,22 +20,13 @@ from repro.index.twostage import (
 
 __all__ = [
     "INDEXABLE_PIPELINES",
-    "L3_TRUST_SPREAD",
-    "SENTINEL_COORD",
-    "HammingSketchIndex",
-    "KDTreeCoarseIndex",
+    "TAU_PER_BIN",
+    "BoundedQuery",
+    "HistogramBound",
     "RetrievalResult",
     "TwoStageRetriever",
     "validate_shortlist",
     "build_index_report",
-    "histogram_embedding",
-    "hybrid_embedding",
-    "l3_query_spread",
     "recall_audit",
-    "shape_column_scales",
-    "shape_missing_terms",
-    "shape_signature_embedding",
     "shard_plan_report",
-    "sketch_matrix",
-    "view_sketch",
 ]

@@ -1,25 +1,20 @@
-"""Recall audit: indexed champions versus brute force, per pipeline, per K.
+"""Agreement audit: indexed champions versus brute force, per pipeline, per K.
 
-The two-stage retriever's only approximation is stage 1: whenever the true
-champion row makes the shortlist, the re-ranked answer is bit-identical to
-brute force (see :mod:`repro.index.twostage`).  The audit quantifies that
-one degree of freedom — **recall@top-1 as a function of shortlist size K**
-— for each indexable registry pipeline, on a seeded query sweep, so CI can
-gate "the index does not change answers" with a number instead of a hope.
+The certified champion (:mod:`repro.index.twostage`) equals brute force
+for every query, row and float64 score, and the shortlist size K changes
+neither.  The audit checks that claim on a seeded query sweep for each
+indexable registry pipeline at every K it is given, so CI gates "the
+index does not change answers" with a number instead of a hope.
 
 For every (pipeline, K) cell the audit reports:
 
 * ``recall`` — fraction of queries whose indexed champion row equals the
-  brute-force champion row;
+  brute-force champion row (1.0 is the contract; anything less is a bug);
 * ``score_exact`` — whether every agreeing query's champion *score* is
-  bit-identical to brute force (the structural guarantee; anything but
-  True is a bug, not a tuning problem);
-* ``exhaustive`` — how many queries fell back to the degenerate-query
-  full scan (those agree by construction).
-
-Because KD-tree k-NN candidate sets are nested in K, per-query agreement
-is monotone in K, so recall is monotone and reaches 1.0 at K = library
-size — both ends of that invariant are pinned by the property suite.
+  bit-identical to brute force;
+* ``exhaustive`` — how many queries re-ranked every row, because their
+  bound pruned nothing (degenerate queries, such as contour-less crops);
+* ``mean_candidates`` — rows exactly re-ranked per query.
 """
 
 from __future__ import annotations
@@ -44,8 +39,7 @@ def recall_audit(
     """Audit indexed-vs-brute top-1 agreement over a query sweep.
 
     Returns a JSON-ready payload: one row per (pipeline, K) with recall,
-    exact-score agreement, and fallback counts, plus per-pipeline brute
-    champion metadata so callers can drill into disagreements.
+    exact-score agreement, exhaustive counts and mean re-ranked rows.
     """
     from repro.serving.registry import default_registry
 

@@ -1,14 +1,13 @@
 """Index construction and statistics over a published reference store.
 
-The store artifact (PR 6) already holds everything stage 1 needs — the
-``(V, 7)`` Hu-signature matrix and the ``(V, 3*bins)`` histogram matrix —
-so "building" an index is embedding those matrices and growing a KD-tree,
-a few hundred milliseconds even at 100k views.  :func:`build_index_report`
-does exactly that for every indexable registry pipeline and reports the
-resulting geometry; :func:`shard_plan_report` shows how the same library
-splits into class-aligned serving shards, each of which carries its own
-per-shard index (a per-shard shortlist of K covers at least as much as a
-global top-K, so sharding never lowers recall).
+The store artifact already holds everything the bound needs, the
+``(V, 7)`` Hu-signature matrix and the ``(V, 3*bins)`` histogram matrix,
+so "building" an index is preparing the library side of the colour bound
+(one normalised matrix, see :mod:`repro.index.bounds`), milliseconds even
+at 10k views.  :func:`build_index_report` does exactly that for every
+indexable registry pipeline; :func:`shard_plan_report` shows how the same
+library splits into class-aligned serving shards, each of which certifies
+its own champion over its own rows (the merged answer is brute force).
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ def build_index_report(
 ) -> dict:
     """Attach each indexable pipeline to *store_dir* and index it.
 
-    Returns a JSON-ready payload describing every built index: embedded
-    dimensionality, row count, Minkowski order and shortlist size.  This
-    is the ``repro index build`` CLI body — it proves the store artifact
-    supports indexing end to end and reports the geometry, without
-    mutating the store (indexes are in-memory, rebuilt at attach time).
+    Returns a JSON-ready payload describing every built index: row count,
+    shortlist size and scoring mode.  This is the ``repro index build``
+    CLI body: it proves the store artifact supports indexing end to end,
+    without mutating the store (indexes are in-memory, rebuilt at attach
+    time).
     """
     from repro.serving.registry import default_registry
     from repro.store.attach import ReferenceStore
@@ -48,7 +47,6 @@ def build_index_report(
             {
                 "pipeline": name,
                 "rows": retriever.n_rows,
-                "dim": retriever.dim,
                 "shortlist_k": retriever.shortlist_k,
                 "scoring_mode": pipeline.scoring_mode,
             }

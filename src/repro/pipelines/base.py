@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -197,7 +197,137 @@ class RecognitionPipeline(abc.ABC):
         return self.predict_batch(list(queries))
 
 
-class MatchingPipeline(RecognitionPipeline):
+class ChampionPipeline(RecognitionPipeline):
+    """A pipeline whose answer is one per-view champion (argmin/argmax).
+
+    Such a pipeline can serve through the certified index
+    (:meth:`attach_index`): one bound over the whole flush, then an exact
+    re-rank of only the rows that can still win, bit-identical to the
+    exhaustive scan for every query.  Subclasses supply
+    :meth:`extract_features`, :meth:`_score_features` (the exhaustive
+    ``(V,)`` scores), :meth:`_rerank_rows` (their restriction to some rows)
+    and, to be indexable, :meth:`_champion_bound`.
+    """
+
+    higher_is_better: bool = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Certified retriever attached by :meth:`attach_index`; None =
+        #: exhaustive scoring.
+        self._retriever: "TwoStageRetriever | None" = None
+
+    @abc.abstractmethod
+    def extract_features(self, item: LabelledImage) -> Any:
+        """The matching features of one image, cache-backed and timed."""
+
+    @abc.abstractmethod
+    def _score_features(self, features: Any) -> np.ndarray:
+        """One query's ``(V,)`` scores from already-extracted features."""
+
+    def _rerank_rows(self, features: Any, rows: np.ndarray) -> np.ndarray:
+        """Exact scores of *features* against reference rows *rows*.
+
+        Must be the literal restriction of the brute-force kernel: bitwise
+        equal to ``_score_features(features)[rows]``.  Every scoring kernel
+        in :mod:`repro.imaging` computes reference row *i* from the query
+        and row *i* alone, so slicing the reference matrix before the
+        kernel call satisfies this for free.
+        """
+        raise PipelineError(f"{self.name}: pipeline has no re-rank kernel")
+
+    def _champion_bound(self) -> Callable[[list], np.ndarray]:
+        """Stage 1 of :meth:`attach_index`.
+
+        Returns a callable mapping a list of extracted query features to
+        the ``(Q, V)`` bound on every row's computed score: from below for
+        a distance, from above for a similarity (see
+        :mod:`repro.index.bounds`).  Raises :class:`PipelineError` when the
+        pipeline cannot be indexed (yet).
+        """
+        raise PipelineError(f"{self.name}: pipeline has no score bound to index")
+
+    @property
+    def index_attached(self) -> bool:
+        """Whether a certified retrieval index is currently attached."""
+        return self._retriever is not None
+
+    @property
+    def retriever(self) -> "TwoStageRetriever":
+        """The attached certified retriever (raises when none is)."""
+        if self._retriever is None:
+            raise PipelineError(f"{self.name}: no retrieval index attached")
+        return self._retriever
+
+    def attach_index(self, shortlist_k: int) -> "ChampionPipeline":
+        """Attach a certified retrieval index over the reference library.
+
+        Routes subsequent :meth:`predict` / :meth:`predict_batch` calls
+        through bound-then-exact-re-rank instead of full-library scoring.
+        Champion rows and scores are bit-identical to brute force for every
+        query.  *shortlist_k* is validated (``>= 1``) but changes neither
+        the answer nor the work.  ``keep_view_scores`` bypasses the index (a champion
+        cannot produce the full per-view score vector).
+        """
+        from repro.index.twostage import TwoStageRetriever
+
+        bound = self._champion_bound()
+        self._retriever = TwoStageRetriever(
+            bound,
+            self._rerank_rows,
+            len(self.references),
+            shortlist_k,
+            higher_is_better=self.higher_is_better,
+        )
+        return self
+
+    def detach_index(self) -> "ChampionPipeline":
+        """Drop the retrieval index and return to brute-force scoring."""
+        self._retriever = None
+        return self
+
+    @property
+    def _serves_indexed(self) -> bool:
+        return self._retriever is not None and not self.keep_view_scores
+
+    def champion_batch(self, queries: Sequence[LabelledImage]) -> "list[RetrievalResult]":
+        """Champion row + exact score per query, without full score rows.
+
+        With an index attached, the flush is bounded once and each query
+        re-ranks only its surviving rows; without one, each query is an
+        exhaustive scan through the same kernels (the audit/bench
+        baseline).  Both share one tie rule (first index among equals).
+        """
+        from repro.index.twostage import RetrievalResult
+
+        self.references
+        features = [self.extract_features(query) for query in queries]
+        with maybe_stage(self.stopwatch, "score"):
+            retriever = self._retriever
+            if retriever is not None:
+                return [retriever.champion(query) for query in retriever.bounded(features)]
+            results = []
+            for query_features in features:
+                scores = self._score_features(query_features)
+                best = int(np.argmax(scores) if self.higher_is_better else np.argmin(scores))
+                results.append(
+                    RetrievalResult(
+                        score=float(scores[best]),
+                        row=best,
+                        candidates=int(scores.shape[0]),
+                        exhaustive=True,
+                    )
+                )
+            return results
+
+    def _prediction_of_hit(self, hit: "RetrievalResult") -> Prediction:
+        winner = self.references[hit.row]
+        return self._finalize(
+            Prediction(label=winner.label, model_id=winner.model_id, score=hit.score)
+        )
+
+
+class MatchingPipeline(ChampionPipeline):
     """Base class for view-scoring pipelines (shape / colour / descriptor).
 
     Subclasses implement :meth:`_extract` (per-image feature computation,
@@ -211,8 +341,6 @@ class MatchingPipeline(RecognitionPipeline):
     per-view loop entirely.  ``batch_scoring = False`` forces the scalar
     loop — the equivalence suite and the scoring benchmark use it.
     """
-
-    higher_is_better: bool = False
 
     #: Cache-key version of :meth:`_extract`'s output; bump whenever the
     #: extraction algorithm changes so stale disk entries stop being read.
@@ -234,9 +362,6 @@ class MatchingPipeline(RecognitionPipeline):
         #: ``(namespace, version)`` cache keyspace, derived once per fit
         #: instead of once per query in the extraction hot loop.
         self._feature_keyspace: tuple[str, str] | None = None
-        #: Two-stage retriever (coarse shortlist + exact re-rank) attached
-        #: by :meth:`attach_index`; None = brute-force scoring.
-        self._retriever: "TwoStageRetriever | None" = None
 
     @abc.abstractmethod
     def _extract(self, item: LabelledImage) -> Any:
@@ -269,123 +394,20 @@ class MatchingPipeline(RecognitionPipeline):
         """
         return None
 
-    def _coarse_spec(self) -> "tuple[np.ndarray, float, Any, np.ndarray | None] | None":
-        """Stage-1 description for :meth:`attach_index`.
-
-        ``None`` (the default) means the pipeline has no coarse embedding
-        and cannot be indexed.  Indexable pipelines return
-        ``(library_embedding, p, embed_query, always_include)``: the
-        embedded reference matrix, its Minkowski order, a callable mapping
-        one query's extracted features to a ``(D,)`` embedding (NaN for
-        degenerate queries, which then take the exhaustive exact path), and
-        the rows every shortlist must contain (``None`` for none) — rows
-        whose kernel score the embedding cannot rank, such as shape rows
-        with skipped terms.
-        """
-        return None
-
-    def _rerank_rows(self, query_features: Any, rows: np.ndarray) -> np.ndarray:
-        """Exact scores of *query_features* against reference rows *rows*.
-
-        Must be the literal restriction of the brute-force kernel: bitwise
-        equal to ``_score_batch(query_features)[rows]``.  Every scoring
-        kernel in :mod:`repro.imaging` computes reference row *i* from the
-        query and row *i* alone, so slicing the reference matrix before the
-        kernel call satisfies this for free.
-        """
-        raise PipelineError(f"{self.name}: pipeline has no re-rank kernel")
-
-    @property
-    def index_attached(self) -> bool:
-        """Whether a two-stage retrieval index is currently attached."""
-        return self._retriever is not None
-
-    @property
-    def retriever(self) -> "TwoStageRetriever":
-        """The attached two-stage retriever (raises when none is)."""
-        if self._retriever is None:
-            raise PipelineError(f"{self.name}: no retrieval index attached")
-        return self._retriever
-
-    def attach_index(self, shortlist_k: int) -> "MatchingPipeline":
-        """Attach a two-stage retrieval index over the reference matrix.
-
-        Builds the pipeline's coarse embedding (see :meth:`_coarse_spec`),
-        indexes it in a KD-tree, and routes subsequent :meth:`predict` /
-        :meth:`predict_batch` calls through shortlist-then-exact-re-rank
-        instead of full-library scoring.  Champion rows and scores are
-        bit-identical to brute force whenever the true champion is
-        shortlisted; ``keep_view_scores`` bypasses the index (a shortlist
-        cannot produce the full per-view score vector).
-        """
-        from repro.index.coarse import KDTreeCoarseIndex
-        from repro.index.twostage import TwoStageRetriever
-
+    def _stacked_matrix(self) -> Any:
+        """The stacked reference matrix an index bounds (raises before one
+        exists: before :meth:`fit` / :meth:`attach_store`, or with
+        ``batch_scoring`` off)."""
         if self._reference_matrix is None:
             raise PipelineError(
                 f"{self.name}: attach_index requires a stacked reference "
                 "matrix (fit() or attach_store() first, with batch_scoring)"
             )
-        spec = self._coarse_spec()
-        if spec is None:
-            raise PipelineError(
-                f"{self.name}: pipeline has no coarse embedding to index"
-            )
-        embedding, p, embed_query, always_include = spec
-        self._retriever = TwoStageRetriever(
-            KDTreeCoarseIndex(embedding, p=p, always_include=always_include),
-            embed_query,
-            self._rerank_rows,
-            shortlist_k,
-            higher_is_better=self.higher_is_better,
-        )
-        return self
-
-    def detach_index(self) -> "MatchingPipeline":
-        """Drop the retrieval index and return to brute-force scoring."""
-        self._retriever = None
-        return self
-
-    def champion_batch(self, queries: Sequence[LabelledImage]) -> "list[RetrievalResult]":
-        """Champion row + exact score per query, without full score rows.
-
-        With an index attached this is the two-stage path; without one it
-        is an exhaustive scan through the same kernels — the audit/bench
-        baseline.  Both share one tie rule (first index among equals).
-        """
-        from repro.index.twostage import RetrievalResult
-
-        self.references
-        results: list[RetrievalResult] = []
-        for query in queries:
-            features = self.extract_features(query)
-            with maybe_stage(self.stopwatch, "score"):
-                if self._retriever is not None:
-                    results.append(self._retriever.champion(features))
-                else:
-                    scores = self._score_features(features)
-                    best = int(
-                        np.argmax(scores) if self.higher_is_better else np.argmin(scores)
-                    )
-                    results.append(
-                        RetrievalResult(
-                            score=float(scores[best]),
-                            row=best,
-                            candidates=int(scores.shape[0]),
-                            exhaustive=True,
-                        )
-                    )
-        return results
-
-    def _prediction_of_hit(self, hit: "RetrievalResult") -> Prediction:
-        winner = self.references[hit.row]
-        return self._finalize(
-            Prediction(label=winner.label, model_id=winner.model_id, score=hit.score)
-        )
+        return self._reference_matrix
 
     @property
     def scoring_mode(self) -> str:
-        if self._retriever is not None and not self.keep_view_scores:
+        if self._serves_indexed:
             return "indexed"
         return "batch" if self._reference_matrix is not None else "scalar"
 
@@ -530,7 +552,7 @@ class MatchingPipeline(RecognitionPipeline):
             return np.vstack([self._score_features(f) for f in features])
 
     def predict(self, query: LabelledImage) -> Prediction:
-        if self._retriever is not None and not self.keep_view_scores:
+        if self._serves_indexed:
             return self._prediction_of_hit(self.champion_batch([query])[0])
         scores = self.score_views(query)
         with maybe_stage(self.stopwatch, "argmin"):
@@ -543,7 +565,7 @@ class MatchingPipeline(RecognitionPipeline):
         queries = list(queries)
         if not queries:
             return []
-        if self._retriever is not None and not self.keep_view_scores:
+        if self._serves_indexed:
             return [self._prediction_of_hit(hit) for hit in self.champion_batch(queries)]
         scores = self.score_views_batch(queries)
         with maybe_stage(self.stopwatch, "argmin"):

@@ -113,23 +113,11 @@ class ColorOnlyPipeline(MatchingPipeline):
             stack_histograms(features), self._reference_matrix, self.metric
         )
 
-    def _coarse_spec(self):
-        from repro.index.embeddings import histogram_embedding
+    def _champion_bound(self):
+        from repro.index.bounds import HistogramBound
 
-        matrix = np.asarray(self._reference_matrix, dtype=np.float64)
-        embedding, p = histogram_embedding(matrix, self.metric)
-
-        def embed_query(query_features: np.ndarray) -> np.ndarray:
-            emb, _ = histogram_embedding(
-                np.asarray(query_features, dtype=np.float64)[None, :],
-                self.metric,
-                degenerate="nan",
-            )
-            return emb[0]
-
-        # Histogram kernels never skip per-row terms, so no row needs to be
-        # force-shortlisted.
-        return embedding, p, embed_query, None
+        bound = HistogramBound(self._stacked_matrix(), self.metric)
+        return lambda features: bound(stack_histograms(features))
 
     def _rerank_rows(self, query_features: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # compare_histograms_batch computes each reference row from the query

@@ -52,7 +52,7 @@ from repro.imaging.match_shapes import (
     match_shapes_batch,
     match_shapes_block,
 )
-from repro.pipelines.base import Prediction, RecognitionPipeline
+from repro.pipelines.base import ChampionPipeline, Prediction
 from repro.pipelines.color_only import (
     COLOR_FEATURE_VERSION,
     color_feature_namespace,
@@ -67,7 +67,6 @@ from repro.pipelines.shape_only import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.twostage import RetrievalResult, TwoStageRetriever
     from repro.store.attach import ReferenceStore
 
 
@@ -134,7 +133,7 @@ def as_distance(score: float, metric: HistogramMetric) -> float:
     return score
 
 
-class HybridPipeline(RecognitionPipeline):
+class HybridPipeline(ChampionPipeline):
     """Weighted shape+colour matching with a selectable argmin strategy."""
 
     def __init__(
@@ -172,51 +171,33 @@ class HybridPipeline(RecognitionPipeline):
         #: the bin count).
         self._shape_keyspace = (SHAPE_FEATURE_NAMESPACE, SHAPE_FEATURE_VERSION)
         self._color_keyspace = (color_feature_namespace(bins), COLOR_FEATURE_VERSION)
-        #: Two-stage retriever over the joint shape+colour embedding,
-        #: attached by :meth:`attach_index`; None = brute-force thetas.
-        self._retriever: "TwoStageRetriever | None" = None
 
     @property
     def scoring_mode(self) -> str:
-        if self._retriever is not None and not self.keep_view_scores:
+        if self._serves_indexed:
             return "indexed"
         batched = self._shape_matrix is not None and self._color_matrix is not None
         return "batch" if batched else "scalar"
 
     def extract_features(self, query: LabelledImage) -> tuple[np.ndarray, np.ndarray]:
-        """The (shape, colour) feature pair of one query, cache-backed."""
-        features = cached_features(self.cache, query, self.bins)
+        """The (shape, colour) feature pair of one query, cache-backed and
+        timed under the stopwatch's ``extract`` stage."""
+        with maybe_stage(self.stopwatch, "extract"):
+            features = cached_features(self.cache, query, self.bins)
         return features["shape"], features["color"]
 
-    @property
-    def index_attached(self) -> bool:
-        """Whether a two-stage retrieval index is currently attached."""
-        return self._retriever is not None
-
-    @property
-    def retriever(self) -> "TwoStageRetriever":
-        """The attached two-stage retriever (raises when none is)."""
-        if self._retriever is None:
-            raise PipelineError(f"{self.name}: no retrieval index attached")
-        return self._retriever
-
-    def attach_index(self, shortlist_k: int) -> "HybridPipeline":
-        """Attach a two-stage index over the joint shape+colour embedding.
+    def _champion_bound(self):
+        """``alpha * S + beta * C'`` with the exact block shape scores S and
+        the certified colour bound C' (see :mod:`repro.index.bounds`).
 
         Only the ``weighted_sum`` strategy is indexable: its champion is a
-        per-view argmin, which shortlist-then-re-rank preserves exactly.
-        The averaging strategies need *every* view's theta, so shortlisting
-        them would change answers — they raise instead.
+        per-view argmin.  The averaging strategies need *every* view's
+        theta, so they raise instead.  The sum is the one
+        :meth:`_rerank_rows` computes, and float addition and scaling by
+        ``alpha, beta >= 0`` are monotone, so the bound holds on the
+        computed theta.
         """
-        from repro.index.coarse import KDTreeCoarseIndex
-        from repro.index.embeddings import (
-            L3_TRUST_SPREAD,
-            hybrid_embedding,
-            l3_query_spread,
-            shape_column_scales,
-            shape_missing_terms,
-        )
-        from repro.index.twostage import TwoStageRetriever
+        from repro.index.bounds import HistogramBound
 
         if self.strategy != HybridStrategy.WEIGHTED_SUM:
             raise PipelineError(
@@ -228,62 +209,13 @@ class HybridPipeline(RecognitionPipeline):
                 f"{self.name}: attach_index requires stacked matrices "
                 "(fit() or attach_store() first, with batch_scoring)"
             )
-        shape_matrix = np.asarray(self._shape_matrix, dtype=np.float64)
-        color_matrix = np.asarray(self._color_matrix, dtype=np.float64)
-        scales = shape_column_scales(shape_matrix)
-        embedding, p = hybrid_embedding(
-            shape_matrix,
-            color_matrix,
-            self.shape_distance,
-            self.color_metric,
-            self.alpha,
-            self.beta,
-            scales=scales,
-        )
+        color_bound = HistogramBound(self._color_matrix, self.color_metric)
 
-        # The theta's shape term skips sub-eps signature terms per row, so
-        # rows with missing shape terms are force-shortlisted (see
-        # shape_missing_terms) and queries with missing terms go exhaustive.
-        missing = shape_missing_terms(shape_matrix)
-        always_include = np.flatnonzero(missing) if missing.any() else None
+        def bound(features: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+            with np.errstate(invalid="ignore"):  # inf - inf: the retriever's -inf
+                return self._block_thetas(features, color_bound)
 
-        def embed_query(features: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-            query_shape, query_color = features
-            signature = hu_signature(query_shape)[None, :]
-            if shape_missing_terms(signature)[0]:
-                return np.full(embedding.shape[1], np.nan)
-            if (
-                self.shape_distance == ShapeDistance.L3
-                and l3_query_spread(signature, scales) > L3_TRUST_SPREAD
-            ):
-                # L3 weights each coordinate by 1/|q_i|; when that strays
-                # too far from the column scales the tree cannot be trusted.
-                return np.full(embedding.shape[1], np.nan)
-            emb, _ = hybrid_embedding(
-                signature,
-                np.asarray(query_color, dtype=np.float64)[None, :],
-                self.shape_distance,
-                self.color_metric,
-                self.alpha,
-                self.beta,
-                scales=scales,
-                degenerate="nan",
-            )
-            return emb[0]
-
-        self._retriever = TwoStageRetriever(
-            KDTreeCoarseIndex(embedding, p=p, always_include=always_include),
-            embed_query,
-            self._rerank_rows,
-            shortlist_k,
-            higher_is_better=False,
-        )
-        return self
-
-    def detach_index(self) -> "HybridPipeline":
-        """Drop the retrieval index and return to brute-force thetas."""
-        self._retriever = None
-        return self
+        return bound
 
     def _rerank_rows(
         self, features: tuple[np.ndarray, np.ndarray], rows: np.ndarray
@@ -306,40 +238,13 @@ class HybridPipeline(RecognitionPipeline):
             color_scores = 1.0 - color_scores
         return self.alpha * shape_scores + self.beta * color_scores
 
-    def champion_batch(self, queries: Sequence[LabelledImage]) -> "list[RetrievalResult]":
-        """Champion view + exact theta per query, without full theta rows.
-
-        Indexed when an index is attached, exhaustive otherwise; both use
-        the first-index argmin tie rule of the brute-force path.
-        """
-        from repro.index.twostage import RetrievalResult
-
-        self.references
-        results: list[RetrievalResult] = []
-        for query in queries:
-            with maybe_stage(self.stopwatch, "extract"):
-                features = self.extract_features(query)
-            with maybe_stage(self.stopwatch, "score"):
-                if self._retriever is not None:
-                    results.append(self._retriever.champion(features))
-                else:
-                    thetas = self._thetas_of(*features)
-                    best = int(np.argmin(thetas))
-                    results.append(
-                        RetrievalResult(
-                            score=float(thetas[best]),
-                            row=best,
-                            candidates=int(thetas.shape[0]),
-                            exhaustive=True,
-                        )
-                    )
-        return results
+    def _score_features(self, features: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        return self._thetas_of(*features)
 
     def fit(self, references: ImageDataset) -> "HybridPipeline":
         self._references = references
         self._retriever = None  # indexes an old library; rebuild explicitly
-        with maybe_stage(self.stopwatch, "extract"):
-            pairs = [self.extract_features(item) for item in references]
+        pairs = [self.extract_features(item) for item in references]
         self._shape_refs = [hu for hu, _ in pairs]
         self._color_refs = [histogram for _, histogram in pairs]
         self._shape_matrix = None
@@ -398,8 +303,7 @@ class HybridPipeline(RecognitionPipeline):
 
     def theta_scores(self, query: LabelledImage) -> np.ndarray:
         """Per-view theta = alpha*S + beta*C' for *query* (eq. 2)."""
-        with maybe_stage(self.stopwatch, "extract"):
-            features = self.extract_features(query)
+        features = self.extract_features(query)
         with maybe_stage(self.stopwatch, "score"):
             return self._thetas_of(*features)
 
@@ -441,28 +345,39 @@ class HybridPipeline(RecognitionPipeline):
     def theta_scores_batch(self, queries: Sequence[LabelledImage]) -> np.ndarray:
         """``(Q, V)`` theta matrix of a query block (row i = queries[i])."""
         self.references
-        with maybe_stage(self.stopwatch, "extract"):
-            features = [self.extract_features(query) for query in queries]
+        features = [self.extract_features(query) for query in queries]
         with maybe_stage(self.stopwatch, "score"):
             if not features:
                 return np.empty((0, len(self.references)), dtype=np.float64)
             if self._shape_matrix is not None and self._color_matrix is not None:
                 # One fused kernel call per block; rows are bit-identical to
                 # the per-query _thetas_of path.
-                shape_scores = match_shapes_block(
-                    hu_signature_matrix(np.vstack([s for s, _ in features])),
-                    self._shape_matrix,
-                    self.shape_distance,
+                return self._block_thetas(
+                    features,
+                    lambda histograms: compare_histograms_block(
+                        histograms, self._color_matrix, self.color_metric
+                    ),
                 )
-                color_scores = compare_histograms_block(
-                    stack_histograms([c for _, c in features]),
-                    self._color_matrix,
-                    self.color_metric,
-                )
-                if self.color_metric.higher_is_better:
-                    color_scores = 1.0 - color_scores
-                return self.alpha * shape_scores + self.beta * color_scores
             return np.vstack([self._thetas_of(s, c) for s, c in features])
+
+    def _block_thetas(
+        self,
+        features: Sequence[tuple[np.ndarray, np.ndarray]],
+        color_block: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``(Q, V)`` alpha * S + beta * C' with the exact block shape
+        scores and ``color_block`` of the stacked query histograms: the
+        block kernel for thetas, the certified colour bound for the index.
+        """
+        shape_scores = match_shapes_block(
+            hu_signature_matrix(np.vstack([s for s, _ in features])),
+            self._shape_matrix,
+            self.shape_distance,
+        )
+        color_scores = color_block(stack_histograms([c for _, c in features]))
+        if self.color_metric.higher_is_better:
+            color_scores = 1.0 - color_scores
+        return self.alpha * shape_scores + self.beta * color_scores
 
     def predict_topk(self, query: LabelledImage, k: int = 3) -> list[Prediction]:
         """The *k* lowest-theta distinct classes for one query, best first.
@@ -492,14 +407,8 @@ class HybridPipeline(RecognitionPipeline):
         return top
 
     def predict(self, query: LabelledImage) -> Prediction:
-        if self._retriever is not None and not self.keep_view_scores:
-            hit = self.champion_batch([query])[0]
-            winner = self.references[hit.row]
-            return self._finalize(
-                Prediction(
-                    label=winner.label, model_id=winner.model_id, score=hit.score
-                )
-            )
+        if self._serves_indexed:
+            return self._prediction_of_hit(self.champion_batch([query])[0])
         return self._predict_from_thetas(self.theta_scores(query))
 
     def predict_batch(self, queries: Sequence[LabelledImage]) -> list[Prediction]:
@@ -508,21 +417,8 @@ class HybridPipeline(RecognitionPipeline):
         queries = list(queries)
         if not queries:
             return []
-        if self._retriever is not None and not self.keep_view_scores:
-            references = self.references
-            out = []
-            for hit in self.champion_batch(queries):
-                winner = references[hit.row]
-                out.append(
-                    self._finalize(
-                        Prediction(
-                            label=winner.label,
-                            model_id=winner.model_id,
-                            score=hit.score,
-                        )
-                    )
-                )
-            return out
+        if self._serves_indexed:
+            return [self._prediction_of_hit(hit) for hit in self.champion_batch(queries)]
         thetas = self.theta_scores_batch(queries)
         if self.strategy == HybridStrategy.WEIGHTED_SUM and not self.keep_view_scores:
             # One argmin call for the whole block instead of one per row.

@@ -104,41 +104,11 @@ class ShapeOnlyPipeline(MatchingPipeline):
             self.distance,
         )
 
-    def _coarse_spec(self):
-        from repro.index.embeddings import (
-            L3_TRUST_SPREAD,
-            l3_query_spread,
-            shape_column_scales,
-            shape_missing_terms,
-            shape_signature_embedding,
-        )
-
-        matrix = np.asarray(self._reference_matrix, dtype=np.float64)
-        scales = (
-            shape_column_scales(matrix) if self.distance == ShapeDistance.L3 else None
-        )
-        embedding, p = shape_signature_embedding(matrix, self.distance, scales=scales)
-        # Rows the kernel scores over fewer than 7 terms beat full rows in
-        # ways no all-coordinate embedding can rank — always shortlist them.
-        missing = shape_missing_terms(matrix)
-        always_include = np.flatnonzero(missing) if missing.any() else None
-
-        def embed_query(query_features: np.ndarray) -> np.ndarray:
-            signature = hu_signature(query_features)[None, :]
-            if shape_missing_terms(signature)[0]:
-                # Query-side skipped terms change the kernel's effective
-                # coordinate set for every row: exhaustive exact path.
-                return np.full(embedding.shape[1], np.nan)
-            if scales is not None and l3_query_spread(signature, scales) > L3_TRUST_SPREAD:
-                # L3 weights each coordinate by 1/|q_i|; when that strays
-                # too far from the column scales the tree cannot be trusted.
-                return np.full(embedding.shape[1], np.nan)
-            emb, _ = shape_signature_embedding(
-                signature, self.distance, scales=scales, degenerate="nan"
-            )
-            return emb[0]
-
-        return embedding, p, embed_query, always_include
+    def _champion_bound(self):
+        self._stacked_matrix()
+        # The exact block scores are bit-identical per row to _rerank_rows:
+        # the tightest bound there is, and no dearer than looser ones.
+        return self._score_block
 
     def _rerank_rows(self, query_features: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # match_shapes_batch computes each reference row from the query and

@@ -171,7 +171,7 @@ class ShardTask:
     config: ExperimentConfig
     start: int
     stop: int
-    #: Two-stage retrieval shortlist size; ``None`` serves brute force.
+    #: Certified-index shortlist size; ``None`` serves brute force.
     shortlist_k: int | None = None
     #: Service artifact epoch, bumped by live hot-swaps: the memo key
     #: changes so workers re-attach, and the front-end tracks in-flight
@@ -275,8 +275,8 @@ def _indexed_champions(
     """Per-query champions of one row range through its attached index.
 
     Champion row + exact score per query, without the ``(Q, V_shard)``
-    score matrix.  Scores are bit-identical to the brute rows whenever the
-    true shard champion is shortlisted, so the merge semantics are the same.
+    score matrix.  The certified champion is the brute shard champion, row
+    and score bits, so the merge semantics are the same.
     """
     references = pipeline.references
     out: list[Champion] = []

@@ -77,7 +77,7 @@ class TestLifecycle:
     def test_refit_drops_the_index(self, config, sns1):
         pipeline = ShapeOnlyPipeline(ShapeDistance.L3).fit(sns1)
         pipeline.attach_index(4)
-        pipeline.fit(sns1)  # new library: the old tree indexes stale rows
+        pipeline.fit(sns1)  # new library: the old bound covers stale rows
         assert not pipeline.index_attached
 
     def test_attach_index_requires_a_library(self):

@@ -1,4 +1,4 @@
-"""Seeded recall-audit properties: exactness at K=V, monotonicity in K."""
+"""Seeded recall-audit properties: exactness at every K, monotonicity in K."""
 
 import pytest
 
@@ -42,9 +42,12 @@ class TestAuditProperties:
             recalls = [row["recall"] for row in ordered]
             assert recalls == sorted(recalls)
 
+    def test_recall_is_one_at_every_k(self, payload):
+        # The certificate makes K irrelevant to the answer.
+        assert all(row["recall"] == 1.0 for row in payload["rows"])
+
     def test_mean_candidates_bounded_by_library(self, payload):
-        # Force-shortlisted rows (shape rows with kernel-skipped terms) can
-        # push the candidate count past K, but never past the library size.
+        # Survivors of the bound: at least the seed, at most every row.
         for row in payload["rows"]:
             assert 1 <= row["mean_candidates"] <= payload["library_views"]
 
