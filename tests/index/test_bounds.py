@@ -88,17 +88,6 @@ class TestExactFamilies:
         )
         np.testing.assert_allclose(bound, exact, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize(
-        "metric", [HistogramMetric.HELLINGER, HistogramMetric.CORRELATION], ids=lambda m: m.value
-    )
-    def test_ranking_matches_kernel(self, rng, metric):
-        refs = _unit_histograms(rng, rows=30)
-        query = _unit_histograms(rng, rows=1)
-        bound = HistogramBound(refs, metric)(query)[0]
-        exact = _kernel(query, refs, metric)[0]
-        sign = -1.0 if metric.higher_is_better else 1.0
-        assert list(np.argsort(sign * bound)) == list(np.argsort(sign * exact))
-
     def test_identical_row_bound_is_zero(self, rng):
         # The kernel scores an identical row about 1e-8, not 0 (the sqrt of
         # a rounding residue); the slack before the sqrt keeps the bound at 0.
@@ -127,13 +116,6 @@ class TestTrivialBounds:
         refs[1, 3] = -0.01
         bound = HistogramBound(refs, HistogramMetric.HELLINGER)(refs[:1])
         assert bound[0, 1] == -np.inf
-
-    def test_zero_variance_rows_are_trivial(self):
-        refs = np.full((2, 8), 0.125)
-        refs[1] = np.linspace(0.0, 1.0, 8)
-        bound = HistogramBound(refs, HistogramMetric.CORRELATION)(refs[1:])
-        assert bound[0, 0] == np.inf
-        assert np.isfinite(bound[0, 1])
 
     @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
     def test_nonfinite_library_rows_are_trivial(self, rng, metric):

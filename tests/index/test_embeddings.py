@@ -1,208 +1,46 @@
-"""Coarse-embedding properties: exact rankings, scales, degenerate rows."""
+"""Row embeddings behind the exact histogram bounds.
+
+For Hellinger (square-root-normalised rows) and Correlation (centred rows
+scaled to unit norm) :class:`~repro.index.HistogramBound` embeds every row
+so that one inner product is the kernel's own score: the bound ranks the
+library exactly as the kernel does.  A row the embedding cannot represent
+takes the trivial bound.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import RetrievalIndexError
 from repro.imaging.histogram import HistogramMetric, compare_histograms_batch
-from repro.imaging.match_shapes import ShapeDistance
-from repro.index import (
-    L3_TRUST_SPREAD,
-    SENTINEL_COORD,
-    histogram_embedding,
-    hybrid_embedding,
-    l3_query_spread,
-    shape_column_scales,
-    shape_missing_terms,
-    shape_signature_embedding,
-)
+from repro.index import HistogramBound
 
 
 def _unit_histograms(rng, rows=12, bins=24):
-    matrix = rng.random((rows, bins))
+    matrix = rng.random((rows, bins)) ** 3
     return matrix / matrix.sum(axis=1)[:, None]
 
 
-def _minkowski(query, matrix, p):
-    delta = np.abs(matrix - query[None, :])
-    if np.isinf(p):
-        return delta.max(axis=1)
-    return (delta**p).sum(axis=1) ** (1.0 / p)
-
-
 class TestExactHistogramRankings:
-    """The embeddings the module docstring marks "exact" really are: the
-    embedding-space distance ordering equals the kernel's score ordering."""
-
     @pytest.mark.parametrize(
         "metric, higher_is_better",
         [
             (HistogramMetric.HELLINGER, False),
-            (HistogramMetric.INTERSECTION, True),
             (HistogramMetric.CORRELATION, True),
         ],
     )
     def test_ranking_matches_kernel(self, rng, metric, higher_is_better):
-        matrix = _unit_histograms(rng)
-        query = _unit_histograms(rng, rows=1)[0]
-        embedding, p = histogram_embedding(matrix, metric)
-        query_emb, _ = histogram_embedding(query[None, :], metric)
-        distances = _minkowski(query_emb[0], embedding, p)
-        scores = compare_histograms_batch(query, matrix, metric)
-        kernel_order = np.argsort(-scores if higher_is_better else scores)
-        assert list(np.argsort(distances)) == list(kernel_order)
-
-    def test_chi_square_is_a_proxy_not_garbage(self, rng):
-        # Not exact, but the nearest embedded row must be among the kernel's
-        # best few on smooth random histograms.
-        matrix = _unit_histograms(rng)
-        query = _unit_histograms(rng, rows=1)[0]
-        embedding, p = histogram_embedding(matrix, HistogramMetric.CHI_SQUARE)
-        query_emb, _ = histogram_embedding(query[None, :], HistogramMetric.CHI_SQUARE)
-        nearest = int(np.argmin(_minkowski(query_emb[0], embedding, p)))
-        scores = compare_histograms_batch(query, matrix, HistogramMetric.CHI_SQUARE)
-        assert nearest in set(np.argsort(scores)[:3])
-
-
-class TestShapeEmbeddings:
-    def test_l3_uses_infinity_norm(self, rng):
-        matrix = rng.normal(scale=10.0, size=(6, 7))
-        _, p = shape_signature_embedding(matrix, ShapeDistance.L3)
-        assert np.isinf(p)
-
-    def test_l1_reciprocal_skips_tiny_entries(self):
-        matrix = np.ones((2, 7))
-        matrix[1, 3] = 0.0  # below eps: kernel skips the term
-        embedding, p = shape_signature_embedding(matrix, ShapeDistance.L1)
-        assert p == 1.0
-        assert embedding[1, 3] == 0.0
-        assert np.all(embedding[0] == 1.0)
-
-    def test_column_scales_fall_back_to_one(self):
-        matrix = np.ones((4, 7))
-        matrix[:, 2] = 0.0  # no usable entry in column 2
-        scales = shape_column_scales(matrix)
-        assert scales[2] == 1.0
-        assert np.all(scales[[0, 1, 3, 4, 5, 6]] == 1.0)
-
-    def test_column_scales_shape_validated(self):
-        with pytest.raises(RetrievalIndexError):
-            shape_column_scales(np.ones((3, 5)))
-
-    def test_scales_length_validated(self):
-        with pytest.raises(RetrievalIndexError):
-            shape_signature_embedding(
-                np.ones((2, 7)), ShapeDistance.L3, scales=np.ones(3)
-            )
-
-
-class TestMissingTermsAndTrust:
-    def test_full_rows_have_no_missing_terms(self, rng):
-        matrix = rng.normal(scale=10.0, size=(5, 7))
-        assert not shape_missing_terms(matrix).any()
-
-    def test_sub_eps_and_nan_rows_flagged(self):
-        matrix = np.ones((3, 7))
-        matrix[0, 2] = 0.0
-        matrix[1, 5] = np.nan
-        flags = shape_missing_terms(matrix)
-        assert flags.tolist() == [True, True, False]
-
-    def test_missing_terms_shape_validated(self):
-        with pytest.raises(RetrievalIndexError):
-            shape_missing_terms(np.ones((2, 5)))
-
-    def test_proportional_query_has_unit_spread(self):
-        scales = np.array([3.0, 8.0, 14.0, 18.0, 20.0, 27.0, 35.0])
-        assert l3_query_spread(2.5 * scales, scales) == pytest.approx(1.0)
-
-    def test_near_eps_coordinate_blows_up_spread(self):
-        scales = np.full(7, 10.0)
-        query = np.full(7, 10.0)
-        query[3] = 1e-3  # kernel weight 1/|q_i| explodes on this coordinate
-        assert l3_query_spread(query, scales) > L3_TRUST_SPREAD
-
-    def test_unusable_query_spreads_to_inf(self):
-        assert np.isinf(l3_query_spread(np.zeros(7), np.ones(7)))
-
-    def test_spread_shape_mismatch_rejected(self):
-        with pytest.raises(RetrievalIndexError):
-            l3_query_spread(np.ones(7), np.ones(5))
+        assert metric.higher_is_better == higher_is_better
+        refs = _unit_histograms(rng, rows=30)
+        query = _unit_histograms(rng, rows=1)
+        bound = HistogramBound(refs, metric)(query)[0]
+        exact = compare_histograms_batch(query[0], refs, metric)
+        sign = -1.0 if higher_is_better else 1.0
+        assert list(np.argsort(sign * bound)) == list(np.argsort(sign * exact))
 
 
 class TestDegenerateRows:
-    def test_library_rows_go_to_sentinel(self):
-        matrix = np.ones((3, 7))
-        matrix[1, 0] = np.nan
-        embedding, _ = shape_signature_embedding(matrix, ShapeDistance.L2)
-        assert np.all(embedding[1] == SENTINEL_COORD)
-        assert np.isfinite(embedding).all()
-
-    def test_query_rows_go_to_nan(self):
-        matrix = np.ones((3, 7))
-        matrix[2, 4] = np.nan
-        embedding, _ = shape_signature_embedding(
-            matrix, ShapeDistance.L2, degenerate="nan"
-        )
-        assert np.isnan(embedding[2]).all()
-        assert np.isfinite(embedding[[0, 1]]).all()
-
     def test_zero_variance_correlation_row_is_degenerate(self):
-        matrix = np.full((2, 8), 0.125)
-        matrix[1] = np.linspace(0.0, 1.0, 8)
-        embedding, _ = histogram_embedding(matrix, HistogramMetric.CORRELATION)
-        assert np.all(embedding[0] == SENTINEL_COORD)
-        assert np.isfinite(embedding[1]).all()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(RetrievalIndexError):
-            shape_signature_embedding(
-                np.ones((1, 7)), ShapeDistance.L2, degenerate="drop"
-            )
-
-
-class TestHybridEmbedding:
-    def test_concatenates_weighted_halves(self, rng):
-        signatures = rng.normal(scale=5.0, size=(5, 7))
-        histograms = _unit_histograms(rng, rows=5, bins=12)
-        embedding, p = hybrid_embedding(
-            signatures,
-            histograms,
-            ShapeDistance.L3,
-            HistogramMetric.HELLINGER,
-            alpha=0.4,
-            beta=0.6,
-        )
-        assert p == 2.0
-        assert embedding.shape == (5, 7 + 12)
-        scales = shape_column_scales(signatures)
-        shape_half, _ = shape_signature_embedding(
-            signatures, ShapeDistance.L3, scales=scales, degenerate="nan"
-        )
-        np.testing.assert_array_equal(embedding[:, :7], 0.4 * shape_half)
-
-    def test_degenerate_in_either_half_marks_the_row(self, rng):
-        signatures = np.ones((3, 7))
-        signatures[0, 0] = np.nan
-        histograms = _unit_histograms(rng, rows=3, bins=6)
-        embedding, _ = hybrid_embedding(
-            signatures,
-            histograms,
-            ShapeDistance.L3,
-            HistogramMetric.HELLINGER,
-            alpha=0.5,
-            beta=0.5,
-        )
-        assert np.all(embedding[0] == SENTINEL_COORD)
-        assert np.isfinite(embedding[[1, 2]]).all()
-
-    def test_row_count_mismatch_rejected(self, rng):
-        with pytest.raises(RetrievalIndexError):
-            hybrid_embedding(
-                np.ones((3, 7)),
-                _unit_histograms(rng, rows=2, bins=6),
-                ShapeDistance.L3,
-                HistogramMetric.HELLINGER,
-                alpha=0.5,
-                beta=0.5,
-            )
+        refs = np.full((2, 8), 0.125)
+        refs[1] = np.linspace(0.0, 1.0, 8)
+        bound = HistogramBound(refs, HistogramMetric.CORRELATION)(refs[1:])
+        assert bound[0, 0] == np.inf
+        assert np.isfinite(bound[0, 1])

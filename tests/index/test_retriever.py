@@ -86,6 +86,16 @@ class TestChampionContract:
         assert hit.row == 7
         assert not hit.exhaustive
 
+    def test_nan_embedding_takes_exhaustive_path(self, rng):
+        # A query whose bound is NaN on every row (no usable embedding)
+        # rules nothing out: every row is re-ranked, like brute force.
+        scores = rng.random((9, 9))
+        retriever = _make_retriever(np.full((9, 9), np.nan), scores, shortlist_k=2)
+        hit = retriever.champion(5)
+        assert hit.exhaustive
+        assert hit.candidates == 9
+        assert hit.row == int(np.argmin(scores[5]))
+
     def test_answers_do_not_depend_on_k(self, rng):
         scores = rng.random((30, 30))
         bounds = _loose(rng, scores)
@@ -123,6 +133,32 @@ class TestChampionContract:
         )
         with pytest.raises(RetrievalIndexError):
             retriever.bounded([0, 1])
+
+
+class TestMonotoneRecall:
+    def test_candidate_sets_nested_in_k(self, rng):
+        """The re-ranked rows at shortlist K are a subset of those at K' for
+        K <= K' (here equal, since K changes no work), so recall@K cannot
+        fall as K grows (pinned end-to-end in test_recall_audit.py)."""
+        scores = rng.random((40, 40))
+        bounds = _loose(rng, scores)
+        for query in range(0, 40, 7):
+            previous: set[int] | None = None
+            for k in (1, 2, 4, 8, 16, 40):
+                seen: set[int] = set()
+
+                def rerank(features, rows, seen=seen):
+                    seen.update(int(r) for r in rows)
+                    return scores[features][rows]
+
+                TwoStageRetriever(
+                    bound=lambda features: bounds[features],
+                    rerank=rerank,
+                    n_rows=40,
+                    shortlist_k=k,
+                ).champion(query)
+                assert previous is None or previous <= seen
+                previous = seen
 
 
 class TestBlocks:
