@@ -12,6 +12,11 @@ brute scan pays both kernels per view), recall@top-1 is ``MIN_RECALL``
 (1.0) on every measured pipeline, and every agreeing champion score is
 bit-identical to brute force.  The QPS-versus-size curves land in
 ``BENCH_index.json``.
+
+Serving never scores one query at a time, so one more row times the hybrid
+at full size the way a service flush does: ``champion_batch`` over flushes
+of ``FLUSH`` queries against the brute ``theta_scores_batch`` argmin over
+the same flushes, gated at the same speedup and recall floors.
 """
 
 import json
@@ -19,6 +24,8 @@ import os
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.datasets.shapenet import build_reference_library, build_sns2
 from repro.datasets.classes import CLASS_NAMES
@@ -37,6 +44,8 @@ SPEEDUP_PIPELINE = "hybrid"
 QUERIES = 40
 TIMING_REPEATS = 3
 RESULT_FILE = Path("BENCH_index.json")
+#: Queries per flush in the flush-path row (the served batch shape).
+FLUSH = 16
 
 
 def _target_views() -> int:
@@ -67,6 +76,40 @@ def _best_seconds_interleaved(first, second, repeats: int = TIMING_REPEATS):
             fn()
             best[side] = min(best[side], time.perf_counter() - started)
     return best[0], best[1]
+
+
+def _flush_row(pipeline, queries) -> dict:
+    """The flush-path row: certified ``champion_batch`` against the brute
+    ``theta_scores_batch`` argmin, both over the same flushes of queries."""
+    flushes = [queries[i : i + FLUSH] for i in range(0, len(queries), FLUSH)]
+
+    def brute_flushes():
+        return [pipeline.theta_scores_batch(flush) for flush in flushes]
+
+    def certified_flushes():
+        return [hit for flush in flushes for hit in pipeline.champion_batch(flush)]
+
+    thetas = np.vstack(brute_flushes())
+    hits = certified_flushes()
+    rows = thetas.argmin(axis=1)
+    agree = [hit.row == int(row) for hit, row in zip(hits, rows)]
+    assert all(
+        hit.score == float(theta[row]) for hit, theta, row in zip(hits, thetas, rows)
+    ), "flush path: certified scores not bit-identical to brute"
+    brute_seconds, certified_seconds = _best_seconds_interleaved(
+        brute_flushes, certified_flushes
+    )
+    return {
+        "pipeline": SPEEDUP_PIPELINE,
+        "views": len(pipeline.references),
+        "flush": FLUSH,
+        "queries": len(queries),
+        "brute_qps": len(queries) / brute_seconds,
+        "indexed_qps": len(queries) / certified_seconds,
+        "speedup": brute_seconds / certified_seconds,
+        "recall_top1": sum(agree) / len(agree),
+        "mean_candidates": sum(hit.candidates for hit in hits) / len(hits),
+    }
 
 
 def test_indexed_retrieval_speedup(benchmark):
@@ -138,6 +181,8 @@ def test_indexed_retrieval_speedup(benchmark):
                 curve.append(row)
                 if size == views:
                     full_size_rows[name] = row
+                    if name == SPEEDUP_PIPELINE:
+                        flush_row = _flush_row(pipeline, queries)
             pipeline.detach_index()
 
     payload = {
@@ -150,6 +195,7 @@ def test_indexed_retrieval_speedup(benchmark):
         "min_recall_floor": MIN_RECALL,
         "speedup_pipeline": SPEEDUP_PIPELINE,
         "curve": curve,
+        "flush_path": flush_row,
     }
     RESULT_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print()
@@ -160,6 +206,12 @@ def test_indexed_retrieval_speedup(benchmark):
             f"indexed {row['indexed_qps']:9.1f} q/s  "
             f"({row['speedup']:5.1f}x)  recall@1 {row['recall_top1']:.4f}"
         )
+    print(
+        f"{SPEEDUP_PIPELINE:<11} V={views:>6}  flushes of {FLUSH}: "
+        f"brute {flush_row['brute_qps']:8.1f} q/s  "
+        f"certified {flush_row['indexed_qps']:9.1f} q/s  "
+        f"({flush_row['speedup']:5.1f}x)  recall@1 {flush_row['recall_top1']:.4f}"
+    )
 
     for name in PIPELINES:
         assert full_size_rows[name]["recall_top1"] >= MIN_RECALL, (
@@ -170,4 +222,12 @@ def test_indexed_retrieval_speedup(benchmark):
     assert headline >= MIN_SPEEDUP, (
         f"indexed retrieval is only {headline:.1f}x brute at {views} views "
         f"(need >= {MIN_SPEEDUP}x) — the certified tier has regressed"
+    )
+    assert flush_row["recall_top1"] >= MIN_RECALL, (
+        f"flush path: recall@top-1 {flush_row['recall_top1']:.4f} below the "
+        f"{MIN_RECALL} floor at {views} views"
+    )
+    assert flush_row["speedup"] >= MIN_SPEEDUP, (
+        f"flush path: champion_batch is only {flush_row['speedup']:.1f}x the "
+        f"brute flush at {views} views (need >= {MIN_SPEEDUP}x)"
     )

@@ -28,10 +28,9 @@ Resilience tier (see README "Resilience"):
   ShardHealth` breaker fed by dispatch outcomes.  An EJECTED shard (open
   breaker) is skipped by the scatter — no stalled barrier — and its row
   range is served through the in-process *rescue* path: the front-end
-  attaches the same store rows zero-copy and brute-force scores them with
-  the same kernels, so rescue answers are exact; they are still flagged
-  ``degraded`` because the fault-free run may have served the range
-  through its per-shard index.
+  attaches the same store rows zero-copy behind the same certified index,
+  so rescue answers are the worker's bit for bit; they are still flagged
+  ``degraded`` because they were served off their worker.
 * **Hedged dispatch** — with ``hedge_after_ms`` set, a straggling shard's
   sub-batch is re-dispatched to a spare worker after the threshold and the
   first result is taken; the losing leg is audited against the served
@@ -43,6 +42,11 @@ Resilience tier (see README "Resilience"):
   epoch's tasks while new admissions scatter against the new one, and any
   verification failure raises :class:`~repro.errors.SwapError` leaving
   the old epoch serving.
+
+Every row range is scored through the certified champion
+(:mod:`repro.index.twostage`), equal to brute force in row and float64
+score, and each worker runs NumPy's BLAS on one thread
+(:func:`_single_blas_thread`): a worker is one unit of parallelism.
 
 Fault handling follows :class:`~repro.engine.executor.ParallelExecutor`'s
 process backend: a :class:`~concurrent.futures.process.BrokenProcessPool`
@@ -56,11 +60,14 @@ service does not retry beyond that one replay:
 
 from __future__ import annotations
 
+import ctypes
+import os
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.config import ExperimentConfig, ServingSettings
@@ -75,7 +82,7 @@ from repro.errors import (
     SwapError,
 )
 from repro.index.twostage import validate_shortlist
-from repro.pipelines.base import Prediction, RecognitionPipeline
+from repro.pipelines.base import ChampionPipeline, Prediction, RecognitionPipeline
 from repro.serving.health import HealthPolicy, ShardHealth
 from repro.serving.service import _FrontEnd, _PendingRequest
 from repro.store.attach import ReferenceStore
@@ -171,7 +178,8 @@ class ShardTask:
     config: ExperimentConfig
     start: int
     stop: int
-    #: Certified-index shortlist size; ``None`` serves brute force.
+    #: Certified-index shortlist size; it changes no answer and no work,
+    #: and ``None`` takes the whole row range.
     shortlist_k: int | None = None
     #: Service artifact epoch, bumped by live hot-swaps: the memo key
     #: changes so workers re-attach, and the front-end tracks in-flight
@@ -205,31 +213,60 @@ Champion = tuple[float, int, str, str]
 #: that query alone raised (see :func:`_isolated`).
 Slot = Champion | Exception
 
-#: A champion finder over one attached row range: ``(pipeline, start,
-#: queries) -> champions``.
-ChampionFn = Callable[
-    [RecognitionPipeline, int, list[LabelledImage]], list[Champion]
-]
-
 #: One attached shard pipeline per (task) per worker process.  Plain memo —
 #: each worker process is single-threaded, and the key includes the store
 #: version and epoch so a new publish or hot-swap naturally re-attaches.
 _SHARD_PIPELINES: dict[ShardTask, RecognitionPipeline] = {}
 
 
+#: OpenBLAS thread-count setters: NumPy's bundled copy, a system one.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _loaded_openblas() -> list[ctypes.CDLL]:
+    """NumPy's wheel-bundled and any system OpenBLAS this process has mapped
+    (``RTLD_NOLOAD`` never loads a library that is not loaded already)."""
+    import numpy
+
+    bundled = sorted(Path(numpy.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+    libraries = []
+    for name in [*map(str, bundled), "libopenblas.so.0"]:
+        try:
+            libraries.append(ctypes.CDLL(name, mode=getattr(os, "RTLD_NOLOAD", 0)))
+        except OSError:
+            pass
+    return libraries
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per shard worker, set at run
+    time because a forked worker inherits its parent's loaded BLAS, so
+    ``OPENBLAS_NUM_THREADS`` comes too late (DESIGN.md, "Sharded tier").
+    Without a setter BLAS is left alone; the answers are the same."""
+    for library in _loaded_openblas():
+        for symbol in _BLAS_THREAD_SETTERS:
+            if hasattr(library, symbol):
+                setter = getattr(library, symbol)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _certified_pipeline(task: ShardTask) -> RecognitionPipeline:
+    """The task's rows attached zero-copy behind the certified index; shared
+    by worker and rescue leg, so a rescued block is its worker's, bit for bit."""
+    from repro.serving.registry import default_registry
+
+    store = ReferenceStore.attach(task.store_dir, version=task.store_version)
+    pipeline = default_registry().build(task.pipeline, task.config)
+    pipeline.attach_store(store, rows=(task.start, task.stop))  # type: ignore[attr-defined]
+    pipeline.attach_index(task.shortlist_k or task.stop - task.start)  # type: ignore[attr-defined]
+    return pipeline
+
+
 def _shard_pipeline(task: ShardTask) -> RecognitionPipeline:
     pipeline = _SHARD_PIPELINES.get(task)
     if pipeline is None:
-        from repro.serving.registry import default_registry
-
-        store = ReferenceStore.attach(task.store_dir, version=task.store_version)
-        pipeline = default_registry().build(task.pipeline, task.config)
-        pipeline.attach_store(store, rows=(task.start, task.stop))  # type: ignore[attr-defined]
-        if task.shortlist_k is not None:
-            # Per-shard index over this worker's row range.  A shortlist of
-            # K within every shard covers at least the global top-K rows, so
-            # sharding never lowers recall below the single-index figure.
-            pipeline.attach_index(task.shortlist_k)  # type: ignore[attr-defined]
+        pipeline = _certified_pipeline(task)
         # A hot-swap bumped the epoch: drop attachments of superseded epochs
         # so a long-lived worker never pins every store version it has ever
         # served (a stale-epoch task that still arrives just re-attaches).
@@ -239,44 +276,14 @@ def _shard_pipeline(task: ShardTask) -> RecognitionPipeline:
     return pipeline
 
 
-def _brute_champions(
-    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
-) -> list[Champion]:
-    """Exact per-query champions of one attached row range, brute force.
-
-    Shared by the worker scoring path and the front-end rescue path, so a
-    rescued shard reproduces its worker's brute-force answers bit-for-bit.
-    """
-    if hasattr(pipeline, "theta_scores_batch"):
-        scores = pipeline.theta_scores_batch(queries)  # type: ignore[attr-defined]
-        higher_is_better = False
-    else:
-        scores = pipeline.score_views_batch(queries)  # type: ignore[attr-defined]
-        higher_is_better = bool(getattr(pipeline, "higher_is_better", False))
-    best = scores.argmax(axis=1) if higher_is_better else scores.argmin(axis=1)
-    references = pipeline.references
-    out: list[Champion] = []
-    for row, local in zip(scores, best):
-        winner = references[int(local)]
-        out.append(
-            (
-                float(row[int(local)]),
-                start + int(local),
-                winner.label,
-                winner.model_id,
-            )
-        )
-    return out
-
-
 def _indexed_champions(
     pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
 ) -> list[Champion]:
-    """Per-query champions of one row range through its attached index.
+    """Per-query champions of one row range through its certified index.
 
     Champion row + exact score per query, without the ``(Q, V_shard)``
     score matrix.  The certified champion is the brute shard champion, row
-    and score bits, so the merge semantics are the same.
+    and score bits, so the merge reproduces the whole-matrix tie rule.
     """
     references = pipeline.references
     out: list[Champion] = []
@@ -287,24 +294,21 @@ def _indexed_champions(
 
 
 def _isolated(
-    champions: ChampionFn,
-    pipeline: RecognitionPipeline,
-    start: int,
-    queries: list[LabelledImage],
+    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
 ) -> list[Slot]:
-    """*champions* over the block; if it raises, query by query.
+    """Certified champions of the block; if that raises, query by query.
 
     One malformed query then fails alone: its slot holds the exception it
     raised and every other slot its champion, so the shard itself has not
     failed.  The worker, hedge and rescue legs all score through here.
     """
     try:
-        return list(champions(pipeline, start, queries))
+        return _indexed_champions(pipeline, start, queries)
     except Exception:
         slots: list[Slot] = []
         for query in queries:
             try:
-                slots.extend(champions(pipeline, start, [query]))
+                slots.extend(_indexed_champions(pipeline, start, [query]))
             except Exception as exc:
                 slots.append(exc)
         return slots
@@ -325,10 +329,7 @@ def _score_shard(
     """
     if task.chaos is not None:
         apply_shard_chaos(task.chaos, task.start, dispatch_key)
-    pipeline = _shard_pipeline(task)
-    if getattr(pipeline, "index_attached", False):
-        return _isolated(_indexed_champions, pipeline, task.start, queries)
-    return _isolated(_brute_champions, pipeline, task.start, queries)
+    return _isolated(_shard_pipeline(task), task.start, queries)
 
 
 def merge_champions(
@@ -479,7 +480,7 @@ class ShardedRecognitionService(_FrontEnd):
         ] = {}
 
     def _probe_registry_pipeline(self) -> None:
-        """Fail fast on pipelines the scatter-gather merge cannot serve."""
+        """Fail fast on pipelines the shards cannot serve certified."""
         from repro.serving.registry import default_registry
 
         probe = default_registry().build(self.pipeline_name, self.config)
@@ -488,11 +489,13 @@ class ShardedRecognitionService(_FrontEnd):
                 f"pipeline {self.pipeline_name!r} has no attach_store path "
                 "and cannot be served from shards"
             )
-        strategy = getattr(probe, "strategy", None)
-        if strategy is not None and getattr(strategy, "value", "") != "weighted_sum":
+        # A hybrid averaging strategy aggregates across views: no bound.
+        bound = getattr(type(probe), "_champion_bound", None)
+        strategy = getattr(getattr(probe, "strategy", None), "value", "weighted_sum")
+        if bound in (None, ChampionPipeline._champion_bound) or strategy != "weighted_sum":
             raise ServingError(
-                "sharded serving requires per-view argmin semantics; hybrid "
-                f"strategy {strategy!r} aggregates across views"
+                f"pipeline {self.pipeline_name!r} has no certified per-view "
+                "champion and cannot be served from shards"
             )
         self._higher_is_better = bool(getattr(probe, "higher_is_better", False))
 
@@ -552,7 +555,9 @@ class ShardedRecognitionService(_FrontEnd):
         """
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self._pool_size())
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._pool_size(), initializer=_single_blas_thread
+                )
             pool = self._pool
         with self._state_lock:
             tasks = self._tasks
@@ -670,13 +675,14 @@ class ShardedRecognitionService(_FrontEnd):
             )
 
     def swap_index(self, shortlist_k: int | None) -> SwapReport:
-        """Hot-swap the per-shard retrieval tier under the same store.
+        """Hot-swap the per-shard shortlist size under the same store.
 
-        A new shortlist size (``None`` = back to brute force) goes live the
-        same way a store swap does: new-epoch tasks are probed in the pool
-        first, then committed under the state lock; in-flight flushes drain
-        against the old tier.  Raises :class:`~repro.errors.SwapError` when
-        the probe fails.
+        Every shard serves the certified champion whatever the size, so a
+        swap changes no answer; ``None`` takes each shard's whole row range.
+        The new size goes live the way a store swap does: new-epoch tasks
+        are probed in the pool first, then committed under the state lock;
+        in-flight flushes drain against the old epoch.  Raises
+        :class:`~repro.errors.SwapError` when the probe fails.
         """
         if shortlist_k is not None:
             validate_shortlist(shortlist_k)
@@ -895,10 +901,10 @@ class ShardedRecognitionService(_FrontEnd):
 
         Returns ``(champions, flags)``: the merged global champion per
         query, plus a flag marking queries whose winner came from a
-        rescue-served row range — those predictions must surface as
-        ``degraded`` (a healthy shard's winner is provably the fault-free
-        winner: it beat the rescue path's *exact* brute-force champion, so
-        it also beats anything a per-shard shortlist would have returned).
+        rescue-served row range — those predictions surface as
+        ``degraded``, because they were served off their worker.  Rescue
+        and worker both serve the certified champion, so the answers are
+        the fault-free ones either way.
         A query that alone raised has its exception for a champion, and
         its shard still counts a success.
         """
@@ -1039,28 +1045,19 @@ class ShardedRecognitionService(_FrontEnd):
     ) -> list[Slot]:
         """Serve one sick shard's rows in the front-end process, exactly.
 
-        Brute-force scores the shard's row range through the same kernels
-        its worker runs — zero-copy against the same memmapped store, no
-        shortlist — so rescue answers are exact; their merged winners are
-        still flagged degraded because the fault-free run may have served
-        the range through its per-shard index.
+        The rescue pipeline attaches the shard's row range zero-copy behind
+        the same certified index its worker runs, so rescue answers equal
+        the worker's bit for bit; their merged winners are still flagged
+        degraded because they were served off their worker.
         """
-        return _isolated(
-            _brute_champions, self._rescue_pipeline(task), task.start, queries
-        )
+        return _isolated(self._rescue_pipeline(task), task.start, queries)
 
     def _rescue_pipeline(self, task: ShardTask) -> RecognitionPipeline:
         key = (task.store_version, task.start, task.stop)
         with self._rescue_lock:
             pipeline = self._rescue_pipelines.get(key)
             if pipeline is None:
-                from repro.serving.registry import default_registry
-
-                store = ReferenceStore.attach(
-                    self.store_dir, version=task.store_version
-                )
-                pipeline = default_registry().build(task.pipeline, task.config)
-                pipeline.attach_store(store, rows=(task.start, task.stop))  # type: ignore[attr-defined]
+                pipeline = _certified_pipeline(task)
                 self._rescue_pipelines[key] = pipeline
         return pipeline
 
@@ -1069,5 +1066,7 @@ class ShardedRecognitionService(_FrontEnd):
             broken, self._pool = self._pool, None
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(max_workers=self._pool_size())
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._pool_size(), initializer=_single_blas_thread
+            )
             self._pool_rebuilds += 1

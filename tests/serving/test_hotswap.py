@@ -4,8 +4,9 @@ The contracts pinned here: a committed ``swap_store`` leaves the service
 answering **bit-identically to a cold attach** of the new version (a swap
 is pure plumbing — it must never perturb the math); a swap whose target
 fails verification raises :class:`SwapError` and rolls back with the old
-epoch untouched and still serving; ``swap_index`` round-trips between the
-shortlist tier and brute force without changing a single answer; and
+epoch untouched and still serving; ``swap_index`` round-trips between
+shortlist sizes without changing a single answer (every shard serves the
+certified champion whatever the size); and
 ``wait_drained`` resolves the moment no pre-swap flush is in flight.
 
 The v2 store appends a duplicate of the last reference under a shifted
@@ -186,7 +187,7 @@ class TestIndexSwap:
         want = identity(cold_expected(swappable, v1))
         service = make_service(swappable)
         with service:
-            brute = [service.recognize(query) for query in queries]
+            whole = [service.recognize(query) for query in queries]
 
             report = service.swap_index(4)
             assert (report.kind, report.old, report.new) == ("index", "None", "4")
@@ -196,9 +197,9 @@ class TestIndexSwap:
             report = service.swap_index(None)
             assert (report.kind, report.old, report.new) == ("index", "4", "None")
             assert service.epoch == 2
-            brute_again = [service.recognize(query) for query in queries]
-        # The shortlist tier re-ranks exactly: every answer — label, model,
+            whole_again = [service.recognize(query) for query in queries]
+        # The certified champion ignores K: every answer — label, model,
         # score bits, flags — survives both hops untouched.
-        assert identity(brute) == want
+        assert identity(whole) == want
         assert identity(shortlisted) == want
-        assert identity(brute_again) == want
+        assert identity(whole_again) == want

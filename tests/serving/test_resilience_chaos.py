@@ -153,9 +153,9 @@ class TestInjectedShardFaults:
         config, _, queries, expected, store_dir = served
         # Errors on flushes 0-2 eject every shard (eject_consecutive=3);
         # each failed scatter is served by the in-process rescue path, so
-        # those answers are exact brute-force but flagged degraded.  From
-        # flush 3 the schedule is clean: probation probes pass and the
-        # breakers close (probation_after=1, recover_successes=2).
+        # those answers are the exact certified champion but flagged
+        # degraded.  From flush 3 the schedule is clean: probation probes
+        # pass and the breakers close (probation_after=1, recover_successes=2).
         service = ShardedRecognitionService(
             "shape-only",
             store_dir,
@@ -203,8 +203,9 @@ class TestInjectedShardFaults:
         assert len(got) == len(queries)
         assert all(p.degraded for p in got)
         assert_no_silent_wrong_answers(got, expected)
-        # Rescue is exact brute force over the same rows: the answers match
-        # the fault-free run bit-for-bit even though every one is flagged.
+        # Rescue is the worker's certified champion over the same rows: the
+        # answers match the fault-free run bit-for-bit even though every
+        # one is flagged.
         for answer, want in zip(got, expected):
             assert (answer.label, answer.model_id, answer.score) == (
                 want.label,

@@ -232,6 +232,23 @@ class TestShardedService:
         with pytest.raises(StoreError, match="attach_store"):
             ShardedRecognitionService("most-frequent", store_dir, config=config)
 
+    def test_refuses_pipelines_without_a_certified_champion(self, served, monkeypatch):
+        # A hybrid averaging strategy aggregates every view's theta, so it
+        # has no per-view bound: construction fails before a worker starts.
+        from repro.pipelines.hybrid import HybridPipeline, HybridStrategy
+        from repro.serving import registry
+
+        config, _, _, store_dir = served
+        averaging = registry.default_registry()
+        averaging.register(
+            "hybrid",
+            lambda cfg: HybridPipeline(HybridStrategy.MACRO_AVERAGE),
+            overwrite=True,
+        )
+        monkeypatch.setattr(registry, "default_registry", lambda: averaging)
+        with pytest.raises(ServingError, match="certified"):
+            ShardedRecognitionService("hybrid", store_dir, config=config)
+
 
 class TestShardedFailureIsolation:
     def test_malformed_query_fails_alone(self, served):
