@@ -219,8 +219,9 @@ Slot = Champion | Exception
 _SHARD_PIPELINES: dict[ShardTask, RecognitionPipeline] = {}
 
 
-#: OpenBLAS thread-count setters: NumPy's bundled copy, a system one.
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+#: OpenBLAS thread-count setters: NumPy 2's bundled copy, NumPy 1's, a system one.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
 
 
 def _loaded_openblas() -> list[ctypes.CDLL]:

@@ -24,8 +24,12 @@ from repro.store import build_store
 
 from tests.serving.test_sharded import grouped_set
 
-#: OpenBLAS thread-count getters: NumPy's bundled copy, a system one.
-GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+#: OpenBLAS thread-count getters: NumPy 2's bundled copy, NumPy 1's, a system one.
+GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
 
 
 def _numpy_names_openblas() -> bool:
@@ -35,13 +39,7 @@ def _numpy_names_openblas() -> bool:
     return "openblas" in shown.getvalue().lower()
 
 
-pytestmark = [
-    pytest.mark.filterwarnings("ignore::DeprecationWarning"),
-    pytest.mark.skipif(
-        not _numpy_names_openblas(),
-        reason="np.show_config() names no OpenBLAS: no thread count to read",
-    ),
-]
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def blas_threads() -> list[int]:
@@ -89,6 +87,28 @@ def store_dir(tmp_path_factory):
     return config, str(root / "store")
 
 
+@pytest.mark.parametrize("symbol", [getter.replace("_get_", "_set_") for getter in GETTERS])
+def test_the_cap_finds_every_known_setter(monkeypatch, symbol):
+    """NumPy 2 wheels, NumPy 1 wheels and a system OpenBLAS each export the
+    setter under their own name; the initializer must call whichever is there."""
+    calls = []
+
+    def setter(count):
+        calls.append(count)
+
+    class Library:
+        pass
+
+    setattr(Library, symbol, staticmethod(setter))
+    monkeypatch.setattr(shards, "_loaded_openblas", lambda: [Library()])
+    shards._single_blas_thread()
+    assert calls == [1]
+
+
+@pytest.mark.skipif(
+    not _numpy_names_openblas(),
+    reason="np.show_config() names no OpenBLAS: no thread count to read",
+)
 def test_every_worker_runs_blas_on_one_thread_across_a_rebuild(store_dir):
     config, path = store_dir
     host = blas_threads()
