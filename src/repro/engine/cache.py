@@ -60,8 +60,7 @@ def content_hash(image: np.ndarray) -> str:
     hybrid's shape + colour namespaces, every re-served query) hash the
     pixels once, not once per lookup.
     """
-    key = id(image)
-    memoised = _CONTENT_HASH_MEMO.get(key)
+    memoised = memoised_hash(image)
     if memoised is not None:
         return memoised
     array = np.ascontiguousarray(image)
@@ -69,13 +68,24 @@ def content_hash(image: np.ndarray) -> str:
     digest.update(str(array.dtype).encode("ascii"))
     digest.update(str(array.shape).encode("ascii"))
     digest.update(array.tobytes())
-    result = digest.hexdigest()
+    return remember_hash(image, digest.hexdigest())
+
+
+def memoised_hash(image: np.ndarray) -> str | None:
+    """*image*'s :func:`content_hash` if it is memoised, without hashing."""
+    return _CONTENT_HASH_MEMO.get(id(image))
+
+
+def remember_hash(image: np.ndarray, digest: str) -> str:
+    """Memoise *digest*, computed elsewhere (say, in a forked worker), as
+    *image*'s :func:`content_hash`; returns it."""
+    key = id(image)
     try:
         weakref.finalize(image, _CONTENT_HASH_MEMO.pop, key, None)
     except TypeError:
-        return result  # not weakref-able (e.g. a plain list): skip the memo
-    _CONTENT_HASH_MEMO[key] = result
-    return result
+        return digest  # not weakref-able (e.g. a plain list): skip the memo
+    _CONTENT_HASH_MEMO[key] = digest
+    return digest
 
 
 @dataclass
@@ -159,6 +169,13 @@ class FeatureCache:
             self._store(key, value)
         self._write_to_disk(key, value)
         return value
+
+    def holds(self, key: tuple[str, str, str]) -> bool:
+        """Whether a lookup of *key* would hit a tier now (counts nothing)."""
+        with self._lock:
+            if key in self._entries:
+                return True
+        return self.disk_dir is not None and self._disk_path(key).is_file()
 
     def clear(self) -> None:
         """Drop the in-memory tier and reset counters (disk files remain)."""

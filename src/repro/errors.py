@@ -92,9 +92,9 @@ class EnrollmentError(ServingError):
 
 
 class SwapError(ServingError):
-    """A live artifact hot-swap (``swap_store`` / ``swap_index``) failed
-    verification and was rolled back: the service keeps serving the old
-    epoch, and the caller learns the new artifact never went live."""
+    """A live store hot-swap (``swap_store``) failed verification and was
+    rolled back: the service keeps serving the old epoch, and the caller
+    learns the new artifact never went live."""
 
 
 class StoreError(ReproError):

@@ -36,12 +36,11 @@ Resilience tier (see README "Resilience"):
   first result is taken; the losing leg is audited against the served
   block (both legs score the same immutable rows, so any bitwise
   disagreement is counted as a ``hedge_mismatch``).
-* **Live hot-swap** — :meth:`~ShardedRecognitionService.swap_store` /
-  :meth:`~ShardedRecognitionService.swap_index` verify-then-commit a new
-  artifact epoch mid-traffic: in-flight flushes drain against their own
-  epoch's tasks while new admissions scatter against the new one, and any
-  verification failure raises :class:`~repro.errors.SwapError` leaving
-  the old epoch serving.
+* **Live hot-swap** — :meth:`~ShardedRecognitionService.swap_store`
+  verifies-then-commits a new store epoch mid-traffic: in-flight flushes
+  drain against their own epoch's tasks while new admissions scatter
+  against the new one, and any verification failure raises
+  :class:`~repro.errors.SwapError` leaving the old epoch serving.
 
 Every row range is scored through the certified champion
 (:mod:`repro.index.twostage`), equal to brute force in row and float64
@@ -81,7 +80,6 @@ from repro.errors import (
     StoreError,
     SwapError,
 )
-from repro.index.twostage import validate_shortlist
 from repro.pipelines.base import ChampionPipeline, Prediction, RecognitionPipeline
 from repro.serving.health import HealthPolicy, ShardHealth
 from repro.serving.service import _FrontEnd, _PendingRequest
@@ -178,9 +176,6 @@ class ShardTask:
     config: ExperimentConfig
     start: int
     stop: int
-    #: Certified-index shortlist size; it changes no answer and no work,
-    #: and ``None`` takes the whole row range.
-    shortlist_k: int | None = None
     #: Service artifact epoch, bumped by live hot-swaps: the memo key
     #: changes so workers re-attach, and the front-end tracks in-flight
     #: batches per epoch for drain accounting.
@@ -193,8 +188,7 @@ class ShardTask:
 class SwapReport:
     """Receipt of one committed live hot-swap.
 
-    ``kind`` is ``"store"`` or ``"index"``; ``old`` / ``new`` the swapped
-    artifact identities (store version ids, or shortlist sizes as text);
+    ``kind`` is ``"store"``; ``old`` / ``new`` the swapped store version ids;
     ``epoch`` the new service epoch and ``shards`` its shard count.
     """
 
@@ -260,7 +254,7 @@ def _certified_pipeline(task: ShardTask) -> RecognitionPipeline:
     store = ReferenceStore.attach(task.store_dir, version=task.store_version)
     pipeline = default_registry().build(task.pipeline, task.config)
     pipeline.attach_store(store, rows=(task.start, task.stop))  # type: ignore[attr-defined]
-    pipeline.attach_index(task.shortlist_k or task.stop - task.start)  # type: ignore[attr-defined]
+    pipeline.attach_index(task.stop - task.start)  # type: ignore[attr-defined]
     return pipeline
 
 
@@ -405,7 +399,6 @@ class ShardedRecognitionService(_FrontEnd):
         config: ExperimentConfig | None = None,
         fallback: RecognitionPipeline | None = None,
         store_version: str | None = None,
-        shortlist_k: int | None = None,
         chaos: ShardChaos | None = None,
         references: ImageDataset | None = None,
         enroll_token: str | None = None,
@@ -414,11 +407,6 @@ class ShardedRecognitionService(_FrontEnd):
     ) -> None:
         if workers < 1:
             raise ServingError(f"workers must be >= 1, got {workers}")
-        if shortlist_k is not None:
-            try:
-                validate_shortlist(shortlist_k)
-            except ReproError as exc:
-                raise ServingError(str(exc)) from exc
         super().__init__(
             f"sharded-serving({pipeline_name}x{workers})",
             settings,
@@ -433,7 +421,6 @@ class ShardedRecognitionService(_FrontEnd):
         store = ReferenceStore.attach(store_dir, version=store_version)
         self.store_dir = str(store_dir)
         self.store_version = store.store_version
-        self.shortlist_k = shortlist_k
         self._probe_registry_pipeline()
         self._health_policy = HealthPolicy(
             window=self.settings.health_window,
@@ -454,7 +441,7 @@ class ShardedRecognitionService(_FrontEnd):
         self._flush_index = 0
         self._inflight: dict[int, int] = {}
         self._tasks: tuple[ShardTask, ...] = self._build_tasks(
-            self.shards, self.store_version, shortlist_k, epoch=0
+            self.shards, self.store_version, epoch=0
         )
         self._health: tuple[ShardHealth, ...] = tuple(
             ShardHealth(self._health_policy) for _ in self.shards
@@ -504,7 +491,6 @@ class ShardedRecognitionService(_FrontEnd):
         self,
         shards: Sequence[WorkerShard],
         store_version: str,
-        shortlist_k: int | None,
         epoch: int,
     ) -> tuple[ShardTask, ...]:
         return tuple(
@@ -515,7 +501,6 @@ class ShardedRecognitionService(_FrontEnd):
                 config=self.config,
                 start=shard.start,
                 stop=shard.stop,
-                shortlist_k=shortlist_k,
                 epoch=epoch,
                 chaos=self.chaos,
             )
@@ -650,7 +635,7 @@ class ShardedRecognitionService(_FrontEnd):
             with self._state_lock:
                 new_epoch = self._epoch + 1
             new_tasks = self._build_tasks(
-                new_shards, store.store_version, self.shortlist_k, new_epoch
+                new_shards, store.store_version, new_epoch
             )
             self._probe_tasks(new_tasks)
             with self._state_lock:
@@ -673,41 +658,6 @@ class ShardedRecognitionService(_FrontEnd):
                 new=store.store_version,
                 epoch=new_epoch,
                 shards=len(new_shards),
-            )
-
-    def swap_index(self, shortlist_k: int | None) -> SwapReport:
-        """Hot-swap the per-shard shortlist size under the same store.
-
-        Every shard serves the certified champion whatever the size, so a
-        swap changes no answer; ``None`` takes each shard's whole row range.
-        The new size goes live the way a store swap does: new-epoch tasks
-        are probed in the pool first, then committed under the state lock;
-        in-flight flushes drain against the old epoch.  Raises
-        :class:`~repro.errors.SwapError` when the probe fails.
-        """
-        if shortlist_k is not None:
-            validate_shortlist(shortlist_k)
-        with self._swap_lock:
-            with self._state_lock:
-                new_epoch = self._epoch + 1
-                shards = self.shards
-            new_tasks = self._build_tasks(
-                shards, self.store_version, shortlist_k, new_epoch
-            )
-            self._probe_tasks(new_tasks)
-            with self._state_lock:
-                old_k = self.shortlist_k
-                self._epoch = new_epoch
-                self._tasks = new_tasks
-                self.shortlist_k = shortlist_k
-                self._state_lock.notify_all()
-            self.stats.record_swap()
-            return SwapReport(
-                kind="index",
-                old=str(old_k),
-                new=str(shortlist_k),
-                epoch=new_epoch,
-                shards=len(shards),
             )
 
     def _probe_tasks(self, tasks: Sequence[ShardTask]) -> None:

@@ -19,6 +19,14 @@ addressed store version:
   ``np.packbits`` (8x smaller on disk; the attach path unpacks rows back to
   the 0/1 uint8 layout the Hamming matcher consumes, bit for bit).
 
+Views whose content digest is not memoised are hashed, and views the
+feature cache cannot answer are extracted, in a pool forked from the
+building process: :data:`CHUNK_VIEWS` contiguous views per task, one worker
+per usable CPU (DESIGN.md, "Parallel store build").  Workers read the
+inherited references, so no pixels are pickled, and take no cache lock;
+this process then replays every cache lookup in view order, so the store,
+the cache and its counters are those of a one-view-at-a-time build.
+
 Because the stacked matrices are produced by the *same* functions the
 in-process ``fit()`` path runs, a pipeline attached to the store scores
 bit-identically to one fitted from pixels — the equivalence suite pins this
@@ -34,6 +42,7 @@ feature cache.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +52,14 @@ import numpy as np
 
 from repro.config import HISTOGRAM_BINS
 from repro.datasets.dataset import ImageDataset, LabelledImage
-from repro.engine.cache import FeatureCache, dataset_fingerprint, default_cache
+from repro.engine.cache import (
+    FeatureCache,
+    content_hash,
+    dataset_fingerprint,
+    default_cache,
+    memoised_hash,
+    remember_hash,
+)
 from repro.errors import FeatureError, StoreError
 from repro.imaging.histogram import stack_histograms
 from repro.imaging.match_shapes import hu_signature_matrix
@@ -52,6 +68,7 @@ from repro.store.manifest import (
     STORE_FORMAT,
     ShardSpec,
     StoreManifest,
+    _remove_tree,
     file_digest,
     publish_version,
 )
@@ -76,60 +93,152 @@ class StoreBuildResult:
     created: bool
 
 
-def _cached(
-    cache: FeatureCache | None,
-    namespace: str,
-    version: str,
-    item: LabelledImage,
-    compute: Callable[[], np.ndarray],
-) -> np.ndarray:
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(namespace, version, item.image, compute)
+#: Views per pool task.  A build with no more cold views than this runs
+#: inline, so a small enrollment republish never forks.
+CHUNK_VIEWS = 256
+
+#: What a chunk task reads: ``(references, bins, families)``.
+Job = tuple[ImageDataset, int, tuple[str, ...]]
+
+#: A forked worker's job, inherited through the fork, never pickled, so
+#: memory-mapped pixels are never copied.
+_FORKED_JOB: Job | None = None
 
 
-def _matrices(
-    references: ImageDataset,
-    bins: int,
-    families: Sequence[str],
-    cache: FeatureCache | None,
-) -> dict[str, np.ndarray]:
-    """The stacked shape and/or colour matrix of each of *families*.
+def _family_keys(bins: int, families: Sequence[str]) -> list[tuple[str, str]]:
+    """The feature-cache ``(namespace, version)`` of each of *families*: the
+    keys the pipelines fit under, so builds and fits share entries."""
+    from repro.pipelines.color_only import COLOR_FEATURE_VERSION, color_feature_namespace
+    from repro.pipelines.shape_only import SHAPE_FEATURE_NAMESPACE, SHAPE_FEATURE_VERSION
 
-    Every view is segmented at most once, however many of the two
-    families are built.
-    """
-    from repro.pipelines.hybrid import cached_features
-
-    rows = [cached_features(cache, item, bins, families) for item in references]
-    matrices: dict[str, np.ndarray] = {}
-    if "shape" in families:
-        matrices["shape"] = hu_signature_matrix(np.vstack([row["shape"] for row in rows]))
-    if "color" in families:
-        matrices["color"] = stack_histograms([row["color"] for row in rows])
-    return matrices
+    keys = {
+        "shape": (SHAPE_FEATURE_NAMESPACE, SHAPE_FEATURE_VERSION),
+        "color": (color_feature_namespace(bins), COLOR_FEATURE_VERSION),
+        "desc-sift": ("desc-sift", "v1"),
+        "desc-orb": ("desc-orb", "v1"),
+    }
+    return [keys[family] for family in families]
 
 
-def _descriptor_rows(
-    references: ImageDataset, method: str, cache: FeatureCache | None
-) -> list[np.ndarray]:
+def _descriptors(item: LabelledImage, method: str) -> np.ndarray:
     from repro.features.orb import OrbExtractor
     from repro.features.sift import SiftExtractor
 
     extractor = OrbExtractor() if method == "orb" else SiftExtractor()
+    try:
+        _, descriptors = extractor.detect_and_compute(item.image)
+    except FeatureError:
+        descriptors = np.zeros((0, extractor.descriptor_size))
+    return descriptors
 
-    def compute(item: LabelledImage) -> np.ndarray:
+
+def _hash_chunk(job: Job, indices: Sequence[int]) -> list[str]:
+    return [content_hash(job[0][index].image) for index in indices]
+
+
+def _extract_chunk(job: Job, indices: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+    """Every family of the views at *indices*, each view segmented once,
+    with no cache and so no lock: a build may fork while a serving thread
+    holds the cache lock, and a worker must never take a lock it inherited
+    held."""
+    from repro.pipelines.hybrid import cached_features
+
+    references, bins, families = job
+    extracted = []
+    for index in indices:
+        item = references[index]
+        values = cached_features(None, item, bins, families)
+        for family in families:
+            if family.startswith("desc-"):
+                values[family] = _descriptors(item, family[len("desc-") :])
+        extracted.append(tuple(values[family] for family in families))
+    return extracted
+
+
+def _adopt(job: Job) -> None:
+    global _FORKED_JOB
+    _FORKED_JOB = job
+
+
+def _forked_chunk(task: tuple[Callable[[Job, Sequence[int]], list], list[int]]) -> list:
+    run, indices = task
+    assert _FORKED_JOB is not None
+    return run(_FORKED_JOB, indices)
+
+
+def _fork_pool(workers: int, job: Job):
+    """*workers* processes forked from this one, each holding *job*."""
+    return multiprocessing.get_context("fork").Pool(
+        workers, initializer=_adopt, initargs=(job,)
+    )
+
+
+def _run_chunks(
+    run: Callable[[Job, Sequence[int]], list], job: Job, indices: list[int]
+) -> list:
+    """``run(job, chunk)`` over *indices* in chunks of :data:`CHUNK_VIEWS`,
+    on one forked worker per usable CPU, or inline when that is one; the
+    results in view order.  The first error in view order propagates, and
+    no worker outlives the call."""
+    chunks = [indices[at : at + CHUNK_VIEWS] for at in range(0, len(indices), CHUNK_VIEWS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(chunks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        blocks = [run(job, chunk) for chunk in chunks]
+    else:
+        pool = _fork_pool(workers, job)
         try:
-            _, descriptors = extractor.detect_and_compute(item.image)
-        except FeatureError:
-            descriptors = np.zeros((0, extractor.descriptor_size))
-        return descriptors
+            blocks = list(pool.imap(_forked_chunk, [(run, chunk) for chunk in chunks]))
+            pool.close()
+        finally:
+            pool.terminate()
+            pool.join()
+    return [result for block in blocks for result in block]
 
-    # Same cache keyspace as DescriptorPipeline, so builds and fits share.
-    return [
-        _cached(cache, f"desc-{method}", "v1", item, lambda item=item: compute(item))
-        for item in references
+
+def _memoise_hashes(job: Job) -> None:
+    """Hash every reference view whose content digest is not memoised yet,
+    across the pool, and memoise the digests here."""
+    images = [item.image for item in job[0]]
+    cold = [index for index, image in enumerate(images) if memoised_hash(image) is None]
+    for index, digest in zip(cold, _run_chunks(_hash_chunk, job, cold)):
+        remember_hash(images[index], digest)
+
+
+def _extract(job: Job, cache: FeatureCache) -> dict[str, list[np.ndarray]]:
+    """Every view's value of each of the job's families, through *cache*.
+
+    Views the cache cannot answer are extracted first, across the pool.
+    Every lookup is then replayed here in the order of a one-view-at-a-time
+    build (shape and colour view by view, then each descriptor family),
+    with the extracted values as the computes, so the cache's tiers and
+    :class:`CacheStats` end as that build leaves them.
+    """
+    references, bins, families = job
+    keys = _family_keys(bins, families)
+    cold = [
+        index
+        for index, item in enumerate(references)
+        if not all(cache.holds(cache.key(*key, item.image)) for key in keys)
     ]
+    extracted = dict(zip(cold, _run_chunks(_extract_chunk, job, cold)))
+
+    def lookup(index: int, slot: int) -> np.ndarray:
+        def compute() -> np.ndarray:
+            # A held entry evicted since the probe is extracted here.
+            values = extracted.get(index) or _extract_chunk(job, [index])[0]
+            return values[slot]
+
+        return cache.get_or_compute(*keys[slot], references[index].image, compute)
+
+    passes = [[slot for slot, family in enumerate(families) if family in ("shape", "color")]]
+    passes += [[slot] for slot, family in enumerate(families) if family.startswith("desc-")]
+    columns: list[list[np.ndarray]] = [[] for _ in families]
+    for slots in filter(None, passes):
+        for index in range(len(references)):
+            for slot in slots:
+                columns[slot].append(lookup(index, slot))
+    return dict(zip(families, columns))
 
 
 def _save_matrix(
@@ -234,6 +343,8 @@ def build_store(
     root.mkdir(parents=True, exist_ok=True)
     if cache is None:
         cache = default_cache()
+    job = (references, bins, tuple(f for f in DEFAULT_FAMILIES if f in families))
+    _memoise_hashes(job)
     version = store_version_id(references, bins, families)
     target = root / version
     if (target / MANIFEST_NAME).is_file():
@@ -249,42 +360,40 @@ def build_store(
             created=False,
         )
 
+    columns = _extract(job, cache)
     staging = root / f".staging-{version}-{os.getpid()}"
     staging.mkdir(parents=True, exist_ok=True)
-    shards: list[ShardSpec] = []
-    matrices = _matrices(references, bins, families, cache)
-    if "shape" in matrices:
-        shards.append(_save_matrix(staging, "shape-hu", "v1", matrices["shape"]))
-    if "color" in matrices:
-        shards.append(
-            _save_matrix(staging, f"color-hist{bins}", "v1", matrices["color"])
+    try:
+        shards: list[ShardSpec] = []
+        if "shape" in columns:
+            matrix = hu_signature_matrix(np.vstack(columns["shape"]))
+            shards.append(_save_matrix(staging, "shape-hu", "v1", matrix))
+        if "color" in columns:
+            matrix = stack_histograms(columns["color"])
+            shards.append(_save_matrix(staging, f"color-hist{bins}", "v1", matrix))
+        if "desc-sift" in columns:
+            shards.append(_save_ragged(staging, "desc-sift", "v1", columns["desc-sift"]))
+        if "desc-orb" in columns:
+            rows = columns["desc-orb"]
+            bits = max((row.shape[1] for row in rows if len(row)), default=256)
+            shards.append(_save_ragged(staging, "desc-orb", "v1", rows, packed_bits=bits))
+        manifest = StoreManifest(
+            format=STORE_FORMAT,
+            store_version=version,
+            dataset_name=references.name,
+            fingerprint=dataset_fingerprint(references),
+            histogram_bins=bins,
+            labels=tuple(item.label for item in references),
+            model_ids=tuple(item.model_id for item in references),
+            view_ids=tuple(item.view_id for item in references),
+            sources=tuple(item.source for item in references),
+            shards=tuple(shards),
         )
-    if "desc-sift" in families:
-        shards.append(
-            _save_ragged(
-                staging, "desc-sift", "v1", _descriptor_rows(references, "sift", cache)
-            )
-        )
-    if "desc-orb" in families:
-        rows = _descriptor_rows(references, "orb", cache)
-        bits = max((row.shape[1] for row in rows if len(row)), default=256)
-        shards.append(
-            _save_ragged(staging, "desc-orb", "v1", rows, packed_bits=bits)
-        )
-    manifest = StoreManifest(
-        format=STORE_FORMAT,
-        store_version=version,
-        dataset_name=references.name,
-        fingerprint=dataset_fingerprint(references),
-        histogram_bins=bins,
-        labels=tuple(item.label for item in references),
-        model_ids=tuple(item.model_id for item in references),
-        view_ids=tuple(item.view_id for item in references),
-        sources=tuple(item.source for item in references),
-        shards=tuple(shards),
-    )
-    (staging / MANIFEST_NAME).write_text(manifest.to_json() + "\n")
-    path = publish_version(root, staging, version)
+        (staging / MANIFEST_NAME).write_text(manifest.to_json() + "\n")
+        path = publish_version(root, staging, version)
+    except BaseException:
+        _remove_tree(staging)
+        raise
     return StoreBuildResult(
         store_dir=root,
         store_version=version,

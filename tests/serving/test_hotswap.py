@@ -1,13 +1,11 @@
-"""Live artifact hot-swap: epoch-guarded store/index repointing.
+"""Live artifact hot-swap: epoch-guarded store repointing.
 
 The contracts pinned here: a committed ``swap_store`` leaves the service
 answering **bit-identically to a cold attach** of the new version (a swap
 is pure plumbing — it must never perturb the math); a swap whose target
 fails verification raises :class:`SwapError` and rolls back with the old
-epoch untouched and still serving; ``swap_index`` round-trips between
-shortlist sizes without changing a single answer (every shard serves the
-certified champion whatever the size); and
-``wait_drained`` resolves the moment no pre-swap flush is in flight.
+epoch untouched and still serving; and ``wait_drained`` resolves the
+moment no pre-swap flush is in flight.
 
 The v2 store appends a duplicate of the last reference under a shifted
 ``view_id``: a distinct content-addressed version whose predictions are
@@ -157,7 +155,7 @@ class TestStoreSwap:
         # the spare workers, so the swap commits mid-flush.  The flush may
         # leave its epoch only after settling its block: once wait_drained()
         # is True, every future submitted before the swap must be done.
-        _, _, queries, _, _, _, _ = swappable
+        _, _, queries, _, _, v2, _ = swappable
         service = make_service(
             swappable,
             settings=ServingSettings(
@@ -174,32 +172,8 @@ class TestStoreSwap:
                 if service.queue_depth == 0:
                     break
                 threading.Event().wait(0.001)
-            service.swap_index(4)
+            service.swap_store(version=v2)
             assert not any(future.done() for future in futures)
             assert service.wait_drained(timeout=30.0) is True
             assert all(future.done() for future in futures)
         assert service.report().completed == 4
-
-
-class TestIndexSwap:
-    def test_shortlist_round_trip_changes_no_answer(self, swappable):
-        config, _, queries, store_dir, v1, _, _ = swappable
-        want = identity(cold_expected(swappable, v1))
-        service = make_service(swappable)
-        with service:
-            whole = [service.recognize(query) for query in queries]
-
-            report = service.swap_index(4)
-            assert (report.kind, report.old, report.new) == ("index", "None", "4")
-            assert service.epoch == 1
-            shortlisted = [service.recognize(query) for query in queries]
-
-            report = service.swap_index(None)
-            assert (report.kind, report.old, report.new) == ("index", "4", "None")
-            assert service.epoch == 2
-            whole_again = [service.recognize(query) for query in queries]
-        # The certified champion ignores K: every answer — label, model,
-        # score bits, flags — survives both hops untouched.
-        assert identity(whole) == want
-        assert identity(shortlisted) == want
-        assert identity(whole_again) == want

@@ -2,7 +2,7 @@
 
 Every shard worker scores its row range through the certified index, so
 the merged answer equals the in-process brute-force answer in label,
-model and float64 score, whatever the shortlist size.  Duplicate reference
+model and float64 score.  Duplicate reference
 rows on both sides of the shard boundary send the cross-shard first-index
 tie through the real workers, and a rescued block equals its worker's
 block bit for bit.
@@ -15,9 +15,8 @@ import pytest
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset
 from repro.engine.cache import FeatureCache
-from repro.errors import ServingError
 from repro.serving.registry import default_registry
-from repro.serving.shards import ShardedRecognitionService, ShardTask, _score_shard
+from repro.serving.shards import ShardedRecognitionService, _score_shard
 from repro.store import build_store
 
 from tests.serving.test_sharded import grouped_set, make_image_set
@@ -56,7 +55,6 @@ class TestShardedIndexedService:
             workers=2,
             settings=ServingSettings(max_batch_size=4, max_wait_ms=5.0),
             config=config,
-            shortlist_k=len(references),  # full K: identity is guaranteed
         )
         with service:
             futures = [service.submit(query) for query in queries]
@@ -67,36 +65,6 @@ class TestShardedIndexedService:
                 want.model_id,
                 want.score,
             )
-
-    def test_small_shortlist_still_serves(self, served):
-        config, _, queries, store_dir = served
-        service = ShardedRecognitionService(
-            "shape-only", store_dir, workers=2, config=config, shortlist_k=2
-        )
-        with service:
-            futures = [service.submit(query) for query in queries]
-            answers = [future.result(timeout=60.0) for future in futures]
-            report = service.report()
-        assert all(answer is not None for answer in answers)
-        assert report.completed == len(queries)
-
-    def test_shortlist_k_validated(self, served):
-        config, _, _, store_dir = served
-        with pytest.raises(ServingError):
-            ShardedRecognitionService(
-                "shape-only", store_dir, config=config, shortlist_k=0
-            )
-
-    def test_shard_task_default_stays_unindexed(self):
-        task = ShardTask(
-            store_dir="somewhere",
-            store_version="v0",
-            pipeline="shape-only",
-            config=ExperimentConfig(seed=7),
-            start=0,
-            stop=4,
-        )
-        assert task.shortlist_k is None
 
 
 def _bits(label, model_id, score):
