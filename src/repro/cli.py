@@ -299,9 +299,6 @@ def _make_serving_settings(args: argparse.Namespace) -> ServingSettings:
         max_attempts=(
             args.max_attempts if args.max_attempts is not None else base.max_attempts
         ),
-        hedge_after_ms=(
-            args.hedge_ms if args.hedge_ms is not None else base.hedge_after_ms
-        ),
     )
 
 
@@ -998,13 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="where to write the JSON payload (index audit: AUDIT_index.json; "
         "openset eval: BENCH_openset.json)",
-    )
-    serving.add_argument(
-        "--hedge-ms",
-        type=float,
-        default=None,
-        help="sharded serving: hedge a straggler shard's sub-batch to a "
-        "spare worker after this many milliseconds (default: hedging off)",
     )
     store = parser.add_argument_group(
         "store", "memory-mapped reference store (store build / store verify)"

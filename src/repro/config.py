@@ -173,13 +173,10 @@ class ServingSettings:
     :class:`~repro.engine.faults.RetryPolicy`); it applies to the in-process
     service only — the sharded service does not retry.
 
-    The resilience knobs tune the sharded service's fault handling:
-    ``hedge_after_ms`` (``None`` = hedging off) is how long a scatter waits
-    on a straggler shard before re-dispatching its sub-batch to a spare
-    worker and taking the first result; ``spare_workers`` sizes the extra
-    pool capacity those hedges land on.  The ``health_*`` knobs parametrise
-    the per-shard :class:`~repro.serving.health.HealthPolicy` — all counter
-    based, so health trajectories replay deterministically in tests.
+    The ``health_*`` knobs tune the sharded service's fault handling: they
+    parametrise the per-shard :class:`~repro.serving.health.HealthPolicy` —
+    all counter based, so health trajectories replay deterministically in
+    tests.
     """
 
     max_batch_size: int = 32
@@ -187,8 +184,6 @@ class ServingSettings:
     max_queue_depth: int = 256
     deadline_ms: float | None = None
     max_attempts: int = 1
-    hedge_after_ms: float | None = None
-    spare_workers: int = 1
     health_window: int = 16
     health_degrade_errors: int = 2
     health_eject_consecutive: int = 3
@@ -210,29 +205,19 @@ class ServingSettings:
             )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.hedge_after_ms is not None and self.hedge_after_ms <= 0:
-            raise ValueError(
-                f"hedge_after_ms must be > 0 (or None), got {self.hedge_after_ms}"
-            )
-        if self.spare_workers < 0:
-            raise ValueError(
-                f"spare_workers must be >= 0, got {self.spare_workers}"
-            )
 
     @staticmethod
     def from_env() -> "ServingSettings":
         """Serving defaults, overridable via ``REPRO_SERVE_BATCH``,
         ``REPRO_SERVE_WAIT_MS``, ``REPRO_SERVE_QUEUE_DEPTH``,
-        ``REPRO_SERVE_DEADLINE_MS`` and ``REPRO_SERVE_HEDGE_MS``."""
+        ``REPRO_SERVE_DEADLINE_MS`` and ``REPRO_SERVE_ATTEMPTS``."""
         deadline = os.environ.get("REPRO_SERVE_DEADLINE_MS") or None
-        hedge = os.environ.get("REPRO_SERVE_HEDGE_MS") or None
         return ServingSettings(
             max_batch_size=int(os.environ.get("REPRO_SERVE_BATCH", "32")),
             max_wait_ms=float(os.environ.get("REPRO_SERVE_WAIT_MS", "2.0")),
             max_queue_depth=int(os.environ.get("REPRO_SERVE_QUEUE_DEPTH", "256")),
             deadline_ms=float(deadline) if deadline is not None else None,
             max_attempts=int(os.environ.get("REPRO_SERVE_ATTEMPTS", "1")),
-            hedge_after_ms=float(hedge) if hedge is not None else None,
         )
 
 

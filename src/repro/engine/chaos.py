@@ -204,97 +204,48 @@ def injector_from_env(pipeline: Any) -> Any:
 
 @dataclasses.dataclass(frozen=True)
 class ShardChaos:
-    """Seeded fault plan for one serving shard's worker dispatches.
+    """Scheduled fault plan for one serving shard's worker dispatches.
 
-    Faults are decided per ``(seed, shard, dispatch key)`` — a pure draw,
-    so the same plan produces the same fault set under any worker count,
-    pool rebuild or hedging schedule.  Two trigger modes compose:
-
-    * **scheduled** — ``kill_flushes`` / ``error_flushes`` / ``slow_flushes``
-      name exact flush indexes, for tests that need one precisely placed
-      fault (e.g. "kill the worker on flush 1, recover on the replay");
-    * **drawn** — ``kill_rate`` / ``error_rate`` / ``slow_rate`` are marginal
-      probabilities per dispatch, for soak runs.
-
-    ``primary_only`` (default) exempts hedge/replay legs (dispatch keys with
-    a suffix), modelling a sick primary with healthy spares — which is what
-    lets the hedging and replay layers prove recovery deterministically.
+    ``kill_flushes`` / ``error_flushes`` / ``slow_flushes`` name exact flush
+    indexes (e.g. "kill the worker on flush 1, recover on the replay"), so
+    the fault set is a pure function of the plan and the flush schedule,
+    under any worker count or pool rebuild.  Only primary dispatches fire:
+    legs with a suffix (replay, warm-up, swap probe) are always exempt,
+    which is what lets the replay layer prove recovery deterministically.
     ``kill`` faults terminate the worker process outright (``os._exit``),
     ``error`` faults raise :class:`InjectedFault`, ``slow`` faults sleep for
     ``slow_s`` before scoring (a straggling shard, not a dead one).
     """
 
-    seed: int = 0
-    kill_rate: float = 0.0
-    error_rate: float = 0.0
-    slow_rate: float = 0.0
     slow_s: float = 0.05
     kill_flushes: tuple[int, ...] = ()
     error_flushes: tuple[int, ...] = ()
     slow_flushes: tuple[int, ...] = ()
-    primary_only: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("kill_rate", "error_rate", "slow_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ReproError(f"{name} must lie in [0, 1], got {rate}")
         if self.slow_s < 0:
             raise ReproError(f"slow_s must be >= 0, got {self.slow_s}")
-
-
-def shard_fault_draw(seed: int, shard: int, key: str, kind: str) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` for one shard dispatch.
-
-    Pure in ``(seed, shard, key, kind)``: the fault set of a serving run is
-    a function of its chaos plan and dispatch schedule, never of wall-clock
-    interleaving.
-    """
-    digest = hashlib.blake2b(
-        f"{seed}:{shard}:{key}:{kind}".encode("ascii"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**64
-
-
-def _split_dispatch_key(key: str) -> tuple[int, str]:
-    """``"12rh"`` -> ``(12, "rh")``: flush index plus the leg suffix."""
-    digits = 0
-    while digits < len(key) and key[digits].isdigit():
-        digits += 1
-    flush = int(key[:digits]) if digits else -1
-    return flush, key[digits:]
 
 
 def apply_shard_chaos(chaos: ShardChaos, shard: int, key: str) -> None:
     """Run *chaos*'s verdict for one dispatch of *shard* under *key*.
 
     Called by the shard worker entry point before scoring.  ``key`` is the
-    front-end's dispatch key: the flush index, suffixed ``h`` for a hedge
-    leg and ``r`` for a post-rebuild replay.  Kill wins over error wins
-    over slow, so a plan naming all three stays well-defined.
+    front-end's dispatch key: the flush index, suffixed ``r`` for a
+    post-rebuild replay (``"warm"`` and ``"swap"`` have no index at all).
+    Kill wins over error wins over slow, so a plan naming all three stays
+    well-defined.
     """
     import time
 
-    flush, leg = _split_dispatch_key(key)
-    if chaos.primary_only and leg:
+    if not key.isdigit():  # a suffixed leg, or no flush index at all
         return
-    if flush in chaos.kill_flushes or (
-        chaos.kill_rate > 0.0
-        and shard_fault_draw(chaos.seed, shard, key, "kill") < chaos.kill_rate
-    ):
+    flush = int(key)
+    if flush in chaos.kill_flushes:
         os._exit(1)
-    if flush in chaos.error_flushes or (
-        chaos.error_rate > 0.0
-        and shard_fault_draw(chaos.seed, shard, key, "error") < chaos.error_rate
-    ):
-        raise InjectedFault(
-            f"injected shard fault (seed {chaos.seed}, shard {shard}, "
-            f"dispatch {key})"
-        )
-    if flush in chaos.slow_flushes or (
-        chaos.slow_rate > 0.0
-        and shard_fault_draw(chaos.seed, shard, key, "slow") < chaos.slow_rate
-    ):
+    if flush in chaos.error_flushes:
+        raise InjectedFault(f"injected shard fault (shard {shard}, dispatch {key})")
+    if flush in chaos.slow_flushes:
         time.sleep(chaos.slow_s)
 
 

@@ -19,11 +19,10 @@ is deliberately **counter-based**: transitions depend only on the sequence
 of recorded outcomes and the number of dispatch rounds, never on the
 wall clock, so a health trajectory replays bit-identically in tests and
 under any scheduler interleaving.  Latencies are recorded for observability
-(window percentiles feed the service report and hedging diagnostics) but
-never drive transitions.
+(window percentiles feed the health report) but never drive transitions.
 
 While a shard is EJECTED its breaker is *open*: the scatter path skips it
-(no stalled barrier) and serves its rows through the exhaustive in-process
+(no stalled barrier) and serves its rows through the certified in-process
 rescue path with degraded-flagged predictions.  PROBATION is the half-open
 breaker: exactly one dispatch round is let through per probe; a success
 stream closes the breaker, a failure re-opens it.

@@ -31,11 +31,6 @@ Resilience tier (see README "Resilience"):
   attaches the same store rows zero-copy behind the same certified index,
   so rescue answers are the worker's bit for bit; they are still flagged
   ``degraded`` because they were served off their worker.
-* **Hedged dispatch** — with ``hedge_after_ms`` set, a straggling shard's
-  sub-batch is re-dispatched to a spare worker after the threshold and the
-  first result is taken; the losing leg is audited against the served
-  block (both legs score the same immutable rows, so any bitwise
-  disagreement is counted as a ``hedge_mismatch``).
 * **Live hot-swap** — :meth:`~ShardedRecognitionService.swap_store`
   verifies-then-commits a new store epoch mid-traffic: in-flight flushes
   drain against their own epoch's tasks while new admissions scatter
@@ -63,7 +58,7 @@ import ctypes
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,7 +175,7 @@ class ShardTask:
     #: changes so workers re-attach, and the front-end tracks in-flight
     #: batches per epoch for drain accounting.
     epoch: int = 0
-    #: Seeded fault plan run before scoring (chaos suites); ``None`` = off.
+    #: Scheduled fault plan run before scoring (chaos suites); ``None`` = off.
     chaos: ShardChaos | None = None
 
 
@@ -295,7 +290,7 @@ def _isolated(
 
     One malformed query then fails alone: its slot holds the exception it
     raised and every other slot its champion, so the shard itself has not
-    failed.  The worker, hedge and rescue legs all score through here.
+    failed.  The worker and rescue legs both score through here.
     """
     try:
         return _indexed_champions(pipeline, start, queries)
@@ -318,9 +313,9 @@ def _score_shard(
     exception a query raised alone (:func:`_isolated`); the index is global
     (shard start + local argmin) so the front-end merge can reproduce the
     whole-matrix first-index tie rule.  Module-level so the process backend
-    can pickle it by reference.  *dispatch_key* names the flush (plus a
-    ``h``/``r`` leg suffix for hedges and replays) and feeds the task's
-    seeded chaos plan, when one is attached.
+    can pickle it by reference.  *dispatch_key* names the flush (plus an
+    ``r`` leg suffix for replays) and feeds the task's scheduled chaos
+    plan, when one is attached.
     """
     if task.chaos is not None:
         apply_shard_chaos(task.chaos, task.start, dispatch_key)
@@ -380,14 +375,13 @@ class ShardedRecognitionService(_FrontEnd):
 
     The submit/recognize/report surface, deadlines, fallback degradation,
     shedding and enrollment scaffolding are the in-process
-    :class:`~repro.serving.service.RecognitionService`'s own front end, so
-    the load generator drives either interchangeably; this class replaces
-    only how a block is answered (epoch snapshot, scatter/gather, merge,
-    thresholds) and how an enrollment is committed.  It does not retry: a
-    failed scatter gets one pool rebuild and replay, then degrades through
-    *fallback*.  *chaos* attaches a seeded
+    :class:`~repro.serving.service.RecognitionService`'s own front end;
+    this class replaces only how a block is answered (epoch snapshot,
+    scatter/gather, merge, thresholds) and how an enrollment is committed.
+    It does not retry: a failed scatter gets one pool rebuild and replay,
+    then degrades through *fallback*.  *chaos* attaches a scheduled
     :class:`~repro.engine.chaos.ShardChaos` fault plan to every worker
-    dispatch (test/soak harnesses only).
+    dispatch (test harnesses only).
     """
 
     def __init__(
@@ -521,28 +515,19 @@ class ShardedRecognitionService(_FrontEnd):
         with self._state_lock:
             return self._epoch
 
-    def _pool_size(self) -> int:
-        """Worker processes: one per shard, plus hedging spares."""
-        spares = (
-            self.settings.spare_workers
-            if self.settings.hedge_after_ms is not None
-            else 0
-        )
-        return self.workers + spares
-
     def start(self) -> "ShardedRecognitionService":
         """Spawn the worker pool, pre-attach every shard, start batching.
 
         Warm-up scatters one empty scoring round so each worker pays its
         store attach before the service reports ready — the sharded
         equivalent of the registry's warm-start probe.  (The warm-up
-        dispatch key is a non-primary leg, so seeded chaos plans never fire
-        before the first real flush.)
+        dispatch key is a non-primary leg, so chaos plans never fire before
+        the first real flush.)
         """
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self._pool_size(), initializer=_single_blas_thread
+                    max_workers=self.workers, initializer=_single_blas_thread
                 )
             pool = self._pool
         with self._state_lock:
@@ -848,7 +833,7 @@ class ShardedRecognitionService(_FrontEnd):
         queries: list[LabelledImage],
         dispatch_key: str,
     ) -> tuple[list[Slot], list[bool]]:
-        """Scatter to healthy shards, hedge stragglers, rescue the sick.
+        """Scatter to healthy shards, rescue the sick.
 
         Returns ``(champions, flags)``: the merged global champion per
         query, plus a flag marking queries whose winner came from a
@@ -874,13 +859,11 @@ class ShardedRecognitionService(_FrontEnd):
             else:
                 # Breaker open: skip the shard, serve its rows in-process.
                 rescue_positions.append(position)
-        hedges = self._hedge_stragglers(pool, tasks, primaries, queries, dispatch_key)
         blocks: dict[int, list[Slot]] = {}
         for position in sorted(primaries):
             try:
-                blocks[position] = self._gather_shard(
-                    position, board, primaries[position], hedges.get(position), started
-                )
+                blocks[position] = primaries[position].result()
+                board[position].record_success(self._clock() - started)
             except BrokenProcessPool:
                 # Attribution is approximate — the dead worker may have been
                 # running any shard's task — but the pool is gone either
@@ -907,87 +890,6 @@ class ShardedRecognitionService(_FrontEnd):
             for champion in champions
         ]
         return champions, flags
-
-    def _hedge_stragglers(
-        self,
-        pool: ProcessPoolExecutor,
-        tasks: Sequence[ShardTask],
-        primaries: dict[int, Future],
-        queries: list[LabelledImage],
-        dispatch_key: str,
-    ) -> dict[int, Future]:
-        """Re-dispatch still-pending shards after the hedge threshold."""
-        hedge_after_ms = self.settings.hedge_after_ms
-        if hedge_after_ms is None or not primaries:
-            return {}
-        _, pending = wait(set(primaries.values()), timeout=hedge_after_ms / 1000.0)
-        if not pending:
-            return {}
-        hedges: dict[int, Future] = {}
-        for position, future in primaries.items():
-            if future in pending:
-                hedges[position] = pool.submit(
-                    _score_shard, tasks[position], queries, dispatch_key + "h"
-                )
-        return hedges
-
-    def _gather_shard(
-        self,
-        position: int,
-        board: Sequence[ShardHealth],
-        primary: Future,
-        hedge: Future | None,
-        started: float,
-    ) -> list[Slot]:
-        """One shard's block: primary result, or the winner of a hedge race."""
-        if hedge is None:
-            block = primary.result()
-            board[position].record_success(self._clock() - started)
-            return block
-        done, _ = wait({primary, hedge}, return_when=FIRST_COMPLETED)
-        # Prefer the primary on a photo-finish: deterministic tie handling.
-        winner, loser, hedge_won = (
-            (primary, hedge, False) if primary in done else (hedge, primary, True)
-        )
-        try:
-            block = winner.result()
-        except BrokenProcessPool:
-            raise
-        except Exception:
-            # The winning leg failed; fall back to the other leg (which may
-            # itself raise — then the shard errors and the rescue path runs).
-            block = loser.result()
-            winner, loser, hedge_won = loser, winner, not hedge_won
-        self.stats.record_hedge(won=hedge_won)
-        board[position].record_success(self._clock() - started)
-        self._audit_hedge(loser, block)
-        return block
-
-    def _audit_hedge(self, loser: Future, served_block: list[Slot]) -> None:
-        """Compare the losing leg to the served block once it lands.
-
-        Both legs score the same immutable rows with the same kernels, so
-        any bitwise disagreement is a real divergence: it is counted
-        (``hedge_mismatches``) for the chaos suites to assert on; the
-        served block is kept either way.  Failed slots agree when both
-        legs raised the same exception type with the same arguments.
-        """
-
-        def _comparable(block: list[Slot]) -> list[object]:
-            return [
-                (type(slot), slot.args) if isinstance(slot, Exception) else slot
-                for slot in block
-            ]
-
-        def _compare(future: Future) -> None:
-            try:
-                block = future.result()
-            except Exception:
-                return  # the losing leg failed outright; nothing to audit
-            if _comparable(block) != _comparable(served_block):
-                self.stats.record_hedge_mismatch()
-
-        loser.add_done_callback(_compare)
 
     # -- in-process rescue -----------------------------------------------------
 
@@ -1018,6 +920,6 @@ class ShardedRecognitionService(_FrontEnd):
             if broken is not None:
                 broken.shutdown(wait=False, cancel_futures=True)
             self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_size(), initializer=_single_blas_thread
+                max_workers=self.workers, initializer=_single_blas_thread
             )
             self._pool_rebuilds += 1

@@ -70,17 +70,12 @@ class ServingReport:
     #: ``shed`` counts lower-priority requests evicted from a full admission
     #: queue to make room; ``shard_errors`` individual shard dispatch
     #: failures (faults, crashes, corrupt attaches); ``rescued`` sub-batches
-    #: served through the in-process exhaustive rescue path after a breaker
-    #: opened; ``hedges``/``hedge_wins``/``hedge_mismatches`` the hedged
-    #: straggler re-dispatches, how often the hedge leg won the race, and
-    #: how often primary and hedge disagreed bit-wise (audited, primary
-    #: kept); ``swaps`` committed live artifact hot-swaps.
+    #: served through the in-process rescue path (the certified champion,
+    #: off the worker) after a dispatch failed or a breaker opened;
+    #: ``swaps`` committed live artifact hot-swaps.
     shed: int = 0
     shard_errors: int = 0
     rescued: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    hedge_mismatches: int = 0
     swaps: int = 0
 
     @property
@@ -119,8 +114,6 @@ class ServingReport:
             extras.append(f"{self.failed} failed")
         if self.rescued:
             extras.append(f"{self.rescued} rescued")
-        if self.hedges:
-            extras.append(f"{self.hedge_wins}/{self.hedges} hedges won")
         if self.swaps:
             extras.append(f"{self.swaps} swaps")
         if extras:
@@ -149,9 +142,6 @@ class ServiceStats:
         self._shed = 0
         self._shard_errors = 0
         self._rescued = 0
-        self._hedges = 0
-        self._hedge_wins = 0
-        self._hedge_mismatches = 0
         self._swaps = 0
         self._batch_histogram: dict[int, int] = {}
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -217,20 +207,6 @@ class ServiceStats:
         with self._lock:
             self._rescued += 1
 
-    def record_hedge(self, won: bool) -> None:
-        """One hedged re-dispatch resolved; *won* when the hedge leg's
-        result was used."""
-        with self._lock:
-            self._hedges += 1
-            if won:
-                self._hedge_wins += 1
-
-    def record_hedge_mismatch(self) -> None:
-        """A hedge race's losing leg disagreed bitwise with the served
-        block (recorded asynchronously, when the loser lands)."""
-        with self._lock:
-            self._hedge_mismatches += 1
-
     def record_swap(self) -> None:
         """One live artifact hot-swap committed."""
         with self._lock:
@@ -270,8 +246,5 @@ class ServiceStats:
                 shed=self._shed,
                 shard_errors=self._shard_errors,
                 rescued=self._rescued,
-                hedges=self._hedges,
-                hedge_wins=self._hedge_wins,
-                hedge_mismatches=self._hedge_mismatches,
                 swaps=self._swaps,
             )

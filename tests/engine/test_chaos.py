@@ -21,8 +21,10 @@ import pytest
 from repro.engine.chaos import (
     FaultInjector,
     InjectedFault,
+    ShardChaos,
     TransientInjectedFault,
     all_black,
+    apply_shard_chaos,
     fault_draw,
     injector_from_env,
     nan_pixels,
@@ -289,6 +291,19 @@ class TestCorruptInputGenerators:
         nan_mask = np.isnan(poisoned.image)
         assert nan_mask.any() and not nan_mask.all()
         assert np.array_equal(nan_mask, np.isnan(again.image))
+
+
+class TestApplyShardChaos:
+    def test_scheduled_error_fires_on_the_primary_leg_only(self):
+        chaos = ShardChaos(error_flushes=(3,))
+        with pytest.raises(InjectedFault, match="dispatch 3"):
+            apply_shard_chaos(chaos, 0, "3")
+        for key in ("3r", "warm", "swap", "4"):
+            apply_shard_chaos(chaos, 0, key)  # exempt leg or unscheduled
+
+    def test_negative_slow_s_rejected(self):
+        with pytest.raises(ReproError):
+            ShardChaos(slow_s=-0.1)
 
 
 class InjectorPickleHelper:

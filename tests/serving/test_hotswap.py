@@ -22,7 +22,7 @@ import pytest
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset
 from repro.engine.cache import FeatureCache
-from repro.engine.chaos import ShardChaos, truncate_file
+from repro.engine.chaos import truncate_file
 from repro.errors import SwapError
 from repro.serving.registry import default_registry
 from repro.serving.shards import ShardedRecognitionService
@@ -151,29 +151,33 @@ class TestStoreSwap:
     def test_wait_drained_returns_only_after_pre_swap_futures_settle(
         self, swappable
     ):
-        # Flush 0 sleeps in its two workers while the swap probe runs on
-        # the spare workers, so the swap commits mid-flush.  The flush may
-        # leave its epoch only after settling its block: once wait_drained()
-        # is True, every future submitted before the swap must be done.
+        # Flush 0 is held in the front end before it scatters, so the pool
+        # is free for the swap probe and the swap commits mid-flush.  The
+        # flush may leave its epoch only after settling its block: once
+        # wait_drained() is True, every future submitted before the swap
+        # must be done.
         _, _, queries, _, _, v2, _ = swappable
         service = make_service(
             swappable,
-            settings=ServingSettings(
-                max_batch_size=4,
-                max_wait_ms=5.0,
-                hedge_after_ms=60_000.0,  # never fires; sizes the spares
-                spare_workers=2,
-            ),
-            chaos=ShardChaos(slow_flushes=(0,), slow_s=2.0),
+            settings=ServingSettings(max_batch_size=4, max_wait_ms=500.0),
         )
+        entered, released = threading.Event(), threading.Event()
+        scatter_gather = service._scatter_gather
+
+        def held_scatter_gather(*args):
+            entered.set()
+            released.wait(timeout=30.0)
+            return scatter_gather(*args)
+
+        service._scatter_gather = held_scatter_gather
         with service:
             futures = [service.submit(query) for query in queries[:4]]
-            for _ in range(5000):
-                if service.queue_depth == 0:
-                    break
-                threading.Event().wait(0.001)
+            assert entered.wait(timeout=30.0)
             service.swap_store(version=v2)
             assert not any(future.done() for future in futures)
+            release = threading.Timer(0.5, released.set)
+            release.start()
             assert service.wait_drained(timeout=30.0) is True
             assert all(future.done() for future in futures)
+            release.join()
         assert service.report().completed == 4

@@ -1,22 +1,15 @@
-"""Service-level chaos: seeded worker kills, shard faults, stragglers,
+"""Service-level chaos: scheduled worker kills, shard faults and
 mid-flight store corruption.
 
 The invariant every scenario asserts — the resilience tier's whole
 contract — is that a prediction is either **bit-identical to the
 fault-free run** or **flagged degraded**; a fault never produces a quietly
-wrong answer.  Fault placement is seeded (:class:`ShardChaos` draws are
-pure in ``(seed, shard, dispatch key)``) and the health state machine is
-counter-based, so each trajectory replays deterministically: requests are
-submitted one at a time, making the flush index — the chaos schedule's
-clock — equal to the request index.
-
-``REPRO_CHAOS_SEED`` offsets every injector seed (CI runs the suite twice
-under different offsets).  The assertions are seed-independent by design:
-scheduled faults (``kill_flushes`` / ``error_flushes``) and rate-1.0 draws
-fire regardless of the seed, which only varies the blake2b draw values.
+wrong answer.  Fault placement is scheduled (:class:`ShardChaos` names
+exact flush indexes) and the health state machine is counter-based, so
+each trajectory replays deterministically: requests are submitted one at
+a time, making the flush index — the chaos schedule's clock — equal to
+the request index.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -34,8 +27,6 @@ from repro.store.manifest import resolve_version
 from tests.engine.synthetic import make_image_set
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 #: Settings shared by the chaos runs: one request per flush (submissions
 #: are sequential), fast breaker thresholds so trajectories stay short.
@@ -111,7 +102,7 @@ class TestSeededWorkerKill:
             workers=2,
             settings=SETTINGS,
             config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 3, kill_flushes=(0,)),
+            chaos=ShardChaos(kill_flushes=(0,)),
         )
         with service:
             got = serve_all(service, queries)
@@ -126,7 +117,7 @@ class TestSeededWorkerKill:
             (p.label, p.model_id, p.score) for p in expected
         ]
 
-    def test_same_seed_same_plan_is_reproducible(self, served):
+    def test_same_plan_is_reproducible(self, served):
         config, _, queries, expected, store_dir = served
 
         def run():
@@ -136,7 +127,7 @@ class TestSeededWorkerKill:
                 workers=2,
                 settings=SETTINGS,
                 config=config,
-                chaos=ShardChaos(seed=CHAOS_SEED + 3, kill_flushes=(0,)),
+                chaos=ShardChaos(kill_flushes=(0,)),
             )
             with service:
                 got = serve_all(service, queries)
@@ -162,7 +153,7 @@ class TestInjectedShardFaults:
             workers=2,
             settings=SETTINGS,
             config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 9, error_flushes=(0, 1, 2)),
+            chaos=ShardChaos(error_flushes=(0, 1, 2)),
         )
         with service:
             got = serve_all(service, queries)
@@ -186,16 +177,16 @@ class TestInjectedShardFaults:
 
     def test_open_breaker_skips_the_scatter_without_stalling(self, served):
         config, _, queries, expected, store_dir = served
-        # A persistent per-dispatch error rate of 1.0 on primaries keeps
-        # every shard's breaker open; the service must still answer every
-        # request (rescue path) rather than stalling the gather barrier.
+        # An error on every primary dispatch keeps every shard's breaker
+        # open; the service must still answer every request (rescue path)
+        # rather than stalling the gather barrier.
         service = ShardedRecognitionService(
             "shape-only",
             store_dir,
             workers=2,
             settings=SETTINGS,
             config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 11, error_rate=1.0),
+            chaos=ShardChaos(error_flushes=tuple(range(len(queries)))),
         )
         with service:
             got = serve_all(service, queries)
@@ -216,8 +207,8 @@ class TestInjectedShardFaults:
         assert report.failed == 0
 
     def test_rescue_fails_a_malformed_query_alone(self, served):
-        # Every primary errors, so the in-process rescue scores each flush.
-        # A flush holding a malformed query and a good one fails only the
+        # The one flush's primaries error, so the in-process rescue scores
+        # it.  A flush holding a malformed query and a good one fails only the
         # malformed one; the good answer is exact and flagged degraded.
         config, _, queries, expected, store_dir = served
         service = ShardedRecognitionService(
@@ -226,7 +217,7 @@ class TestInjectedShardFaults:
             workers=2,
             settings=ServingSettings(max_batch_size=2, max_wait_ms=500.0),
             config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 11, error_rate=1.0),
+            chaos=ShardChaos(error_flushes=(0,)),
         )
         with service:
             bad = service.submit(malformed_query())
@@ -242,74 +233,6 @@ class TestInjectedShardFaults:
             expected[0].label,
             expected[0].model_id,
             expected[0].score,
-        )
-
-
-class TestHedgedDispatch:
-    def test_stragglers_are_hedged_and_bit_identical(self, served):
-        config, _, queries, expected, store_dir = served
-        settings = ServingSettings(
-            max_batch_size=4,
-            max_wait_ms=5.0,
-            hedge_after_ms=20.0,
-            spare_workers=2,
-        )
-        # Every primary dispatch sleeps well past the hedge threshold; the
-        # hedge legs are exempt (primary_only), so spares win the race.
-        service = ShardedRecognitionService(
-            "shape-only",
-            store_dir,
-            workers=2,
-            settings=settings,
-            config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 13, slow_rate=1.0, slow_s=0.4),
-        )
-        with service:
-            got = serve_all(service, queries)
-            report = service.report()
-        assert report.hedges > 0
-        assert report.hedge_wins > 0
-        # Both legs score the same immutable rows: the audit must be clean.
-        assert report.hedge_mismatches == 0
-        assert report.degraded == 0
-        assert_no_silent_wrong_answers(got, expected)
-        assert [(p.label, p.model_id, p.score) for p in got] == [
-            (p.label, p.model_id, p.score) for p in expected
-        ]
-
-    def test_a_malformed_query_fails_alone_on_both_legs(self, served):
-        # Both legs re-score the failed block query by query and return the
-        # same exception in the bad query's slot: the audit agrees, and
-        # neither leg counts as a shard error.
-        config, _, queries, expected, store_dir = served
-        settings = ServingSettings(
-            max_batch_size=4,
-            max_wait_ms=5.0,
-            hedge_after_ms=20.0,
-            spare_workers=2,
-        )
-        service = ShardedRecognitionService(
-            "shape-only",
-            store_dir,
-            workers=2,
-            settings=settings,
-            config=config,
-            chaos=ShardChaos(seed=CHAOS_SEED + 13, slow_rate=1.0, slow_s=0.4),
-        )
-        with service:
-            with pytest.raises(ImageError):
-                service.recognize(malformed_query())
-            good = service.recognize(queries[0])
-        report = service.report()  # after stop: every losing leg has landed
-        assert report.hedges > 0
-        assert report.hedge_mismatches == 0
-        assert report.failed == 1 and report.shard_errors == 0
-        assert report.rescued == 0
-        assert (good.label, good.model_id, good.score, good.degraded) == (
-            expected[0].label,
-            expected[0].model_id,
-            expected[0].score,
-            False,
         )
 
 
@@ -335,7 +258,7 @@ class TestMidFlightCorruption:
             settings=SETTINGS,
             config=config,
             fallback=fallback,
-            chaos=ShardChaos(seed=CHAOS_SEED + 17, kill_flushes=(0,)),
+            chaos=ShardChaos(kill_flushes=(0,)),
         )
         with service:
             # Mid-flight: workers hold their memmaps, then every shard file

@@ -65,7 +65,7 @@ def every_worker(service: ShardedRecognitionService) -> dict[int, list[int]]:
     pool = service._pool
     seen: dict[int, list[int]] = {}
     for _ in range(20):  # until each worker has answered (a slow start may miss a round)
-        futures = [pool.submit(worker_blas_threads) for _ in range(2 * service._pool_size())]
+        futures = [pool.submit(worker_blas_threads) for _ in range(2 * service.workers)]
         seen.update(future.result(timeout=60.0) for future in futures)
         if set(seen) >= set(pool._processes):
             break

@@ -100,7 +100,6 @@ class TestServingFlags:
                 "--max-queue-depth", "99",
                 "--deadline-ms", "40",
                 "--fallback", "most-frequent",
-                "--hedge-ms", "25",
                 "--workers", "2",
                 "--store-dir", "store",
             ]
@@ -113,7 +112,6 @@ class TestServingFlags:
         assert args.max_queue_depth == 99
         assert args.deadline_ms == pytest.approx(40.0)
         assert args.fallback == "most-frequent"
-        assert args.hedge_ms == pytest.approx(25.0)
         assert args.workers == 2
         assert args.store_dir == "store"
 
