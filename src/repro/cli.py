@@ -48,12 +48,12 @@ evaluation and writes ``BENCH_openset.json``::
 Index commands (see README "Indexed retrieval"): ``repro index build``
 renders the seeded reference library, publishes it as a store and
 attaches the certified index over it; ``repro index stats`` reports each
-index and the shard plan of an existing store; ``repro index audit``
+index of an existing store; ``repro index audit``
 checks that indexed champions equal brute force over a seeded query
 sweep::
 
     repro index build --library-models 10 --library-views 20
-    repro index stats --store-dir .repro-store --workers 2
+    repro index stats --store-dir .repro-store
     repro index audit --shortlist-k 64 --output AUDIT_index.json
 """
 
@@ -347,7 +347,8 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     the service report — the smallest end-to-end serving demo.  With
     ``--workers N`` (N >= 2) the stream is served by the multi-process
     sharded topology instead: a store is built (or republished) in
-    ``--store-dir`` and each worker process attaches its shard zero-copy.
+    ``--store-dir``, each worker process attaches it zero-copy and answers
+    a chunk of every flush.
     """
     import tempfile
 
@@ -469,10 +470,9 @@ def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
     ``repro index build`` renders the seeded reference library
     (``classes x --library-models x --library-views`` views), publishes it
     as a store and attaches an index for every indexable pipeline; ``repro
-    index stats`` reports each index plus the class-aligned shard plan of
-    an EXISTING store; ``repro index audit`` measures recall@top-1 of
-    indexed-vs-brute champions over the SNS2 query sweep and writes the
-    JSON payload.  The audit exits 1 when any champion row or score is not
+    index stats`` reports each index of an EXISTING store; ``repro index
+    audit`` measures recall@top-1 of indexed-vs-brute champions over the
+    SNS2 query sweep and writes the JSON payload.  The audit exits 1 when any champion row or score is not
     bit-identical to brute force — that is a structural guarantee, not a
     tuning knob (see :mod:`repro.index.twostage`).
     """
@@ -528,24 +528,16 @@ def _cmd_index(args: argparse.Namespace) -> tuple[str, int]:
         return "\n".join(lines), 0
 
     if subcommand == "stats":
-        from repro.index import build_index_report, shard_plan_report
+        from repro.index import build_index_report
 
         try:
             report = build_index_report(store_dir, shortlist_k, config)
-            plan = shard_plan_report(store_dir, args.workers or 1)
         except ReproError as exc:
             return f"index: stats FAILED — {exc}", 1
         lines = [
             f"index: store version {report['store_version']} "
             f"({report['library_views']} views)"
         ] + _geometry_lines(report)
-        lines.append(f"  shard plan (workers={plan['workers']}):")
-        for shard in plan["shards"]:
-            start, stop = shard["rows"]
-            lines.append(
-                f"    rows [{start}, {stop})  {shard['views']:>6} views  "
-                f"classes {', '.join(shard['classes'])}"
-            )
         return "\n".join(lines), 0
 
     from repro.datasets.shapenet import build_reference_library, build_sns2

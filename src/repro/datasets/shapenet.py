@@ -135,8 +135,8 @@ def build_reference_library(
     viewpoints from :func:`~repro.datasets.render.random_viewpoint`, so no
     two views of a model are identical renders.
 
-    Views are emitted grouped by class (labels form contiguous runs), which
-    is the layout :func:`repro.serving.shards.plan_shards` requires.
+    Views are emitted grouped by class (labels form contiguous runs), the
+    layout of every reference set and of a store built from one.
     """
     config = config or ExperimentConfig()
     if models_per_class < 1 or views_per_model < 1:

@@ -10,7 +10,7 @@ score.  See :mod:`repro.index.twostage` for the correctness argument and
 
 from repro.index.audit import INDEXABLE_PIPELINES, recall_audit
 from repro.index.bounds import TAU_PER_BIN, HistogramBound
-from repro.index.build import build_index_report, shard_plan_report
+from repro.index.build import build_index_report
 from repro.index.twostage import (
     BoundedQuery,
     RetrievalResult,
@@ -28,5 +28,4 @@ __all__ = [
     "validate_shortlist",
     "build_index_report",
     "recall_audit",
-    "shard_plan_report",
 ]

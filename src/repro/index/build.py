@@ -5,9 +5,7 @@ The store artifact already holds everything the bound needs, the
 so "building" an index is preparing the library side of the colour bound
 (one normalised matrix, see :mod:`repro.index.bounds`), milliseconds even
 at 10k views.  :func:`build_index_report` does exactly that for every
-indexable registry pipeline; :func:`shard_plan_report` shows how the same
-library splits into class-aligned serving shards, each of which certifies
-its own champion over its own rows (the merged answer is brute force).
+indexable registry pipeline.
 """
 
 from __future__ import annotations
@@ -56,29 +54,4 @@ def build_index_report(
         "store_version": store.store_version,
         "library_views": len(store.references()),
         "indexes": reports,
-    }
-
-
-def shard_plan_report(store_dir: Path | str, workers: int) -> dict:
-    """How the store's reference rows split into class-aligned shards."""
-    from repro.serving.shards import plan_shards
-    from repro.store.attach import ReferenceStore
-
-    store = ReferenceStore.attach(Path(store_dir))
-    labels = store.references().labels
-    shards = []
-    for shard in plan_shards(labels, workers):
-        shards.append(
-            {
-                "rows": [shard.start, shard.stop],
-                "views": len(shard),
-                "classes": list(shard.classes),
-            }
-        )
-    return {
-        "store_dir": str(store_dir),
-        "store_version": store.store_version,
-        "library_views": len(labels),
-        "workers": workers,
-        "shards": shards,
     }

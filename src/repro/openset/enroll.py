@@ -1,10 +1,10 @@
 """Reference-library enrollment merges.
 
-The serving tier's shard planner (:func:`repro.serving.shards.plan_shards`)
-requires class-contiguous reference layouts, and the store builder digests
-views in dataset order — so teaching a live service a new view cannot simply
-append to the end.  :func:`merge_enrollment` produces the merged dataset the
-hot-swap republish is built from: new views of an *existing* class slot in
+Every reference library is laid out class-contiguous, and the store
+builder digests views in dataset order — so teaching a live service a new
+view keeps that layout instead of appending to the end.
+:func:`merge_enrollment` produces the merged dataset the hot-swap republish
+is built from: new views of an *existing* class slot in
 at the end of that class's (last) contiguous run, and entirely new classes
 append after everything else in first-seen order.  Existing views keep
 their relative order, which is what keeps pre-existing champions stable

@@ -247,6 +247,16 @@ class ChampionPipeline(RecognitionPipeline):
         """
         raise PipelineError(f"{self.name}: pipeline has no score bound to index")
 
+    def certifiable(self) -> bool:
+        """Whether :meth:`attach_index` certifies this pipeline's champion
+        with a bound that prunes all but a few rows.
+
+        The sharded tier serves only such pipelines, since each worker
+        re-ranks every row its bound cannot rule out.  ``False`` here: a
+        subclass with a tight :meth:`_champion_bound` says so.
+        """
+        return False
+
     @property
     def index_attached(self) -> bool:
         """Whether a certified retrieval index is currently attached."""
@@ -482,7 +492,7 @@ class MatchingPipeline(ChampionPipeline):
         (the store equivalence suite pins this).
 
         *rows* restricts the pipeline to the contiguous reference range
-        ``[start, stop)`` — the unit a multi-process serving shard owns.
+        ``[start, stop)``.
         References become the store's image-free identity records; anything
         needing reference pixels must use :meth:`fit`.
         """

@@ -113,6 +113,11 @@ class ColorOnlyPipeline(MatchingPipeline):
             stack_histograms(features), self._reference_matrix, self.metric
         )
 
+    def certifiable(self) -> bool:
+        from repro.index.bounds import TIGHT_METRICS
+
+        return self.metric in TIGHT_METRICS
+
     def _champion_bound(self):
         from repro.index.bounds import HistogramBound
 

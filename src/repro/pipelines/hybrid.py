@@ -186,6 +186,13 @@ class HybridPipeline(ChampionPipeline):
             features = cached_features(self.cache, query, self.bins)
         return features["shape"], features["color"]
 
+    def certifiable(self) -> bool:
+        """Only a weighted sum has a per-view champion; the averaging
+        strategies consume every view's theta."""
+        from repro.index.bounds import TIGHT_METRICS
+
+        return self.strategy == HybridStrategy.WEIGHTED_SUM and self.color_metric in TIGHT_METRICS
+
     def _champion_bound(self):
         """``alpha * S + beta * C'`` with the exact block shape scores S and
         the certified colour bound C' (see :mod:`repro.index.bounds`).

@@ -104,6 +104,9 @@ class ShapeOnlyPipeline(MatchingPipeline):
             self.distance,
         )
 
+    def certifiable(self) -> bool:
+        return True  # the bound is the exact block score
+
     def _champion_bound(self):
         self._stacked_matrix()
         # The exact block scores are bit-identical per row to _rerank_rows:

@@ -18,12 +18,13 @@ kernels through dynamic micro-batching.
 * :class:`~repro.serving.stats.ServiceStats` / :class:`~repro.serving.
   stats.ServingReport` — queue depth, batch-size histogram, p50/p95/p99
   latency, degraded/rejected counts;
-* :mod:`~repro.serving.shards` — multi-process fan-out: class-aligned
-  reference shards served by worker processes attached zero-copy to a
-  memory-mapped :mod:`repro.store` artifact, merged bit-identically to the
-  single-process argmin.  It shares the in-process service's front end and
-  replaces only how a block is answered; it does not retry (a failed
-  scatter gets one pool rebuild and replay, then degrades).
+* :mod:`~repro.serving.shards` — multi-process fan-out: each flush is cut
+  into contiguous chunks of queries, one per worker process, and every
+  worker attaches the whole memory-mapped :mod:`repro.store` artifact
+  zero-copy, so its answers are the single-process certified champion bit
+  for bit.  It shares the in-process service's front end and replaces only
+  how a block is answered; it does not retry (a failed scatter gets one
+  pool rebuild and replay, then degrades).
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from repro.errors import (
 from repro.serving.batcher import MicroBatcher
 from repro.serving.registry import PipelineRegistry, default_registry
 from repro.serving.service import RecognitionService
-from repro.serving.shards import (
-    ShardedRecognitionService,
-    WorkerShard,
-    merge_champions,
-    plan_shards,
-)
+from repro.serving.shards import ShardedRecognitionService, merge_champions, split_flush
 from repro.serving.stats import ServiceStats, ServingReport
 
 __all__ = [
@@ -52,9 +48,8 @@ __all__ = [
     "PipelineRegistry",
     "RecognitionService",
     "ShardedRecognitionService",
-    "WorkerShard",
     "merge_champions",
-    "plan_shards",
+    "split_flush",
     "ServiceNotReady",
     "ServiceOverloaded",
     "ServiceStats",

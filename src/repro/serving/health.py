@@ -22,8 +22,8 @@ under any scheduler interleaving.  Latencies are recorded for observability
 (window percentiles feed the health report) but never drive transitions.
 
 While a shard is EJECTED its breaker is *open*: the scatter path skips it
-(no stalled barrier) and serves its rows through the certified in-process
-rescue path with degraded-flagged predictions.  PROBATION is the half-open
+(no stalled barrier) and serves its chunk of the flush through the
+certified in-process rescue path with degraded-flagged predictions.  PROBATION is the half-open
 breaker: exactly one dispatch round is let through per probe; a success
 stream closes the breaker, a failure re-opens it.
 """

@@ -1,46 +1,40 @@
 """Multi-process serving shards over a memory-mapped reference store.
 
 :class:`ShardedRecognitionService` scales recognition out to worker
-*processes*: the reference library is split into contiguous row ranges
-(:func:`plan_shards`, aligned to class boundaries so each shard owns whole
-class namespaces), every worker process attaches its range of the shared
-:class:`~repro.store.attach.ReferenceStore` zero-copy, and each admitted
-micro-batch is scattered to all shards and merged by a tie-rule-preserving
-reduction.  The service shares the in-process
+*processes*: every worker attaches the whole published
+:class:`~repro.store.attach.ReferenceStore` version zero-copy behind the
+certified index, and each admitted micro-batch is cut into at most
+``workers`` contiguous chunks of queries (:func:`split_flush`), one per
+worker, whose answers are put back in flush order (:func:`merge_champions`).
+The service shares the in-process
 :class:`~repro.serving.service.RecognitionService`'s front end — admission,
 deadlines, degradation, shedding and the enrollment scaffolding — and
 replaces only how a block of live requests is answered.
 
-Why this is *bit-identical* to the single-process path: every scoring
-kernel is row-independent per reference view, so a worker scoring rows
-``[start, stop)`` of the memmapped matrix produces exactly the score slice
-``scores[:, start:stop]`` of the full computation.  Each worker returns its
-per-query ``(score, global_index, label, model_id)`` champion; because
-shards are contiguous and ordered, picking the lexicographically best
-``(score, global_index)`` across shards — score ascending (or descending
-for ``higher_is_better``), index ascending — reproduces NumPy's
-argmin/argmax first-index tie rule over the full matrix exactly.  The
-sharded equivalence tests and perfbench's per-answer check both pin this.
+Why this is *bit-identical* to the single-process path: a worker answers
+each of its queries through the certified champion over every reference
+row (:mod:`repro.index.twostage`), which equals brute force in row and
+float64 score, first-index tie rule included, and a query's champion does
+not depend on which other queries share its chunk.  Splitting by query
+scores each (query, row) pair once, as a split by rows would, but extracts
+and pickles each query once instead of once per worker (DESIGN.md,
+"Sharded tier").  Each worker runs NumPy's BLAS on one thread
+(:func:`_single_blas_thread`): a worker is one unit of parallelism.
 
 Resilience tier (see README "Resilience"):
 
-* **Shard health** — every shard has a :class:`~repro.serving.health.
-  ShardHealth` breaker fed by dispatch outcomes.  An EJECTED shard (open
-  breaker) is skipped by the scatter — no stalled barrier — and its row
-  range is served through the in-process *rescue* path: the front-end
-  attaches the same store rows zero-copy behind the same certified index,
-  so rescue answers are the worker's bit for bit; they are still flagged
-  ``degraded`` because they were served off their worker.
+* **Worker health** — every worker position has a :class:`~repro.serving.
+  health.ShardHealth` breaker fed by dispatch outcomes.  A chunk whose
+  worker is EJECTED (open breaker), or whose dispatch errors, is served by
+  the in-process *rescue* leg: the front end attaches the same store
+  version zero-copy behind the same certified index, so rescue answers are
+  the worker's bit for bit; they are still flagged ``degraded`` because
+  they were served off their worker.
 * **Live hot-swap** — :meth:`~ShardedRecognitionService.swap_store`
   verifies-then-commits a new store epoch mid-traffic: in-flight flushes
-  drain against their own epoch's tasks while new admissions scatter
+  drain against their own epoch's task while new admissions scatter
   against the new one, and any verification failure raises
   :class:`~repro.errors.SwapError` leaving the old epoch serving.
-
-Every row range is scored through the certified champion
-(:mod:`repro.index.twostage`), equal to brute force in row and float64
-score, and each worker runs NumPy's BLAS on one thread
-(:func:`_single_blas_thread`): a worker is one unit of parallelism.
 
 Fault handling follows :class:`~repro.engine.executor.ParallelExecutor`'s
 process backend: a :class:`~concurrent.futures.process.BrokenProcessPool`
@@ -55,6 +49,7 @@ service does not retry beyond that one replay:
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
 import threading
 import time
@@ -85,92 +80,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class WorkerShard:
-    """One contiguous reference row range ``[start, stop)`` owned by a worker.
-
-    ``classes`` lists the class labels whose views fall in the range — with
-    class-aligned planning each label appears in exactly one shard, so the
-    shard *is* that set of class namespaces.
-    """
-
-    index: int
-    start: int
-    stop: int
-    classes: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
-def plan_shards(labels: Sequence[str], workers: int) -> tuple[WorkerShard, ...]:
-    """Split reference rows into ``workers`` contiguous, class-aligned shards.
-
-    Rows are never split mid-class: the plan walks the contiguous runs of
-    equal labels (the reference sets are stored grouped by class) and closes
-    a shard when its row count reaches the ideal ``V / workers`` boundary.
-    With fewer class runs than workers the plan has fewer shards — a shard
-    is never empty.
-    """
-    if workers < 1:
-        raise ServingError(f"workers must be >= 1, got {workers}")
-    total = len(labels)
-    if total == 0:
-        raise ServingError("cannot shard an empty reference library")
-    runs: list[tuple[int, int]] = []  # (start, stop) of each equal-label run
-    start = 0
-    for index in range(1, total + 1):
-        if index == total or labels[index] != labels[start]:
-            runs.append((start, index))
-            start = index
-    shards: list[WorkerShard] = []
-    shard_start = runs[0][0]
-    for position, (_, run_stop) in enumerate(runs):
-        remaining_runs = len(runs) - position - 1
-        remaining_shards = workers - len(shards) - 1
-        boundary = (len(shards) + 1) * total / workers
-        if (run_stop >= boundary or remaining_runs < remaining_shards) and (
-            remaining_shards > 0 or run_stop == total
-        ):
-            shards.append(
-                WorkerShard(
-                    index=len(shards),
-                    start=shard_start,
-                    stop=run_stop,
-                    classes=tuple(
-                        dict.fromkeys(labels[shard_start:run_stop])
-                    ),
-                )
-            )
-            shard_start = run_stop
-            if run_stop == total:
-                break
-    if shard_start < total:  # tail rows when workers > class runs consumed
-        shards.append(
-            WorkerShard(
-                index=len(shards),
-                start=shard_start,
-                stop=total,
-                classes=tuple(dict.fromkeys(labels[shard_start:total])),
-            )
-        )
-    return tuple(shards)
-
-
-@dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker process needs to (re)build its shard pipeline.
+    """Everything a worker process needs to (re)build its pipeline.
 
     Deliberately small and picklable: the worker re-creates the pipeline
-    from the *default registry* name and attaches the store range by path —
-    no matrices, images or locks ever cross the process boundary.
+    from the *default registry* name and attaches the whole store version
+    by path — no matrices, images or locks ever cross the process boundary.
+    It names no row count, so a task can never outlive its version's rows.
     """
 
     store_dir: str
     store_version: str
     pipeline: str
     config: ExperimentConfig
-    start: int
-    stop: int
     #: Service artifact epoch, bumped by live hot-swaps: the memo key
     #: changes so workers re-attach, and the front-end tracks in-flight
     #: batches per epoch for drain accounting.
@@ -184,7 +106,7 @@ class SwapReport:
     """Receipt of one committed live hot-swap.
 
     ``kind`` is ``"store"``; ``old`` / ``new`` the swapped store version ids;
-    ``epoch`` the new service epoch and ``shards`` its shard count.
+    ``epoch`` the new service epoch and ``shards`` its worker count.
     """
 
     kind: str
@@ -194,18 +116,35 @@ class SwapReport:
     shards: int
 
 
-#: One query's champion within a shard: ``(score, global_index, label,
-#: model_id)``.
+#: One query's champion: ``(score, row, label, model_id)``.
 Champion = tuple[float, int, str, str]
 
-#: A shard block's answer for one query: its champion, or the exception
-#: that query alone raised (see :func:`_isolated`).
+#: A chunk's answer for one query: its champion, or the exception that
+#: query alone raised (see :func:`_isolated`).
 Slot = Champion | Exception
 
-#: One attached shard pipeline per (task) per worker process.  Plain memo —
-#: each worker process is single-threaded, and the key includes the store
+#: One attached pipeline per task per worker process.  Plain memo — each
+#: worker process is single-threaded, and the key includes the store
 #: version and epoch so a new publish or hot-swap naturally re-attaches.
 _SHARD_PIPELINES: dict[ShardTask, RecognitionPipeline] = {}
+
+
+def split_flush(count: int, workers: int) -> list[range]:
+    """Cut a flush of *count* queries into at most *workers* chunks.
+
+    The chunks are contiguous, disjoint and in flush order, cover every
+    query, and differ in size by at most one; chunk *i* goes to worker
+    position *i*.  A flush smaller than *workers* gets one chunk a query,
+    so no empty chunk is ever dispatched.
+    """
+    size, extra = divmod(count, workers)
+    chunks: list[range] = []
+    start = 0
+    for position in range(min(count, workers)):
+        stop = start + size + (position < extra)
+        chunks.append(range(start, stop))
+        start = stop
+    return chunks
 
 
 #: OpenBLAS thread-count setters: NumPy 2's bundled copy, NumPy 1's, a system one.
@@ -242,14 +181,16 @@ def _single_blas_thread() -> None:
 
 
 def _certified_pipeline(task: ShardTask) -> RecognitionPipeline:
-    """The task's rows attached zero-copy behind the certified index; shared
-    by worker and rescue leg, so a rescued block is its worker's, bit for bit."""
+    """The task's whole store version attached zero-copy behind the
+    certified index; shared by worker and rescue leg, so a rescued chunk is
+    its worker's, bit for bit.  The row count comes from the attached
+    version itself, never from the task."""
     from repro.serving.registry import default_registry
 
     store = ReferenceStore.attach(task.store_dir, version=task.store_version)
     pipeline = default_registry().build(task.pipeline, task.config)
-    pipeline.attach_store(store, rows=(task.start, task.stop))  # type: ignore[attr-defined]
-    pipeline.attach_index(task.stop - task.start)  # type: ignore[attr-defined]
+    pipeline.attach_store(store)  # type: ignore[attr-defined]
+    pipeline.attach_index(len(store))  # type: ignore[attr-defined]
     return pipeline
 
 
@@ -267,117 +208,85 @@ def _shard_pipeline(task: ShardTask) -> RecognitionPipeline:
 
 
 def _indexed_champions(
-    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
+    pipeline: RecognitionPipeline, queries: list[LabelledImage]
 ) -> list[Champion]:
-    """Per-query champions of one row range through its certified index.
-
-    Champion row + exact score per query, without the ``(Q, V_shard)``
-    score matrix.  The certified champion is the brute shard champion, row
-    and score bits, so the merge reproduces the whole-matrix tie rule.
-    """
+    """Per-query champions over the whole library through the certified
+    index: champion row + exact score per query, without the ``(Q, V)``
+    score matrix, equal to the in-process ``champion_batch`` answer."""
     references = pipeline.references
     out: list[Champion] = []
     for hit in pipeline.champion_batch(queries):  # type: ignore[attr-defined]
         winner = references[hit.row]
-        out.append((hit.score, start + hit.row, winner.label, winner.model_id))
+        out.append((hit.score, hit.row, winner.label, winner.model_id))
     return out
 
 
-def _isolated(
-    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
-) -> list[Slot]:
-    """Certified champions of the block; if that raises, query by query.
+def _isolated(pipeline: RecognitionPipeline, queries: list[LabelledImage]) -> list[Slot]:
+    """Certified champions of the chunk; if that raises, query by query.
 
     One malformed query then fails alone: its slot holds the exception it
-    raised and every other slot its champion, so the shard itself has not
+    raised and every other slot its champion, so the worker itself has not
     failed.  The worker and rescue legs both score through here.
     """
     try:
-        return _indexed_champions(pipeline, start, queries)
+        return _indexed_champions(pipeline, queries)
     except Exception:
         slots: list[Slot] = []
         for query in queries:
             try:
-                slots.extend(_indexed_champions(pipeline, start, [query]))
+                slots.extend(_indexed_champions(pipeline, [query]))
             except Exception as exc:
                 slots.append(exc)
         return slots
 
 
 def _score_shard(
-    task: ShardTask, queries: list[LabelledImage], dispatch_key: str = ""
+    task: ShardTask,
+    queries: list[LabelledImage],
+    dispatch_key: str = "",
+    position: int = 0,
 ) -> list[Slot]:
-    """Worker entry point: each query's champion within this shard.
+    """Worker entry point: each query's champion over the whole library.
 
-    Returns one ``(score, global_index, label, model_id)`` per query, or the
-    exception a query raised alone (:func:`_isolated`); the index is global
-    (shard start + local argmin) so the front-end merge can reproduce the
-    whole-matrix first-index tie rule.  Module-level so the process backend
-    can pickle it by reference.  *dispatch_key* names the flush (plus an
-    ``r`` leg suffix for replays) and feeds the task's scheduled chaos
-    plan, when one is attached.
+    Returns one ``(score, row, label, model_id)`` per query, or the
+    exception a query raised alone (:func:`_isolated`).  Module-level so
+    the process backend can pickle it by reference.  *dispatch_key* names
+    the flush (plus an ``r`` leg suffix for replays) and feeds the task's
+    scheduled chaos plan, when one is attached, for worker *position*.
     """
     if task.chaos is not None:
-        apply_shard_chaos(task.chaos, task.start, dispatch_key)
-    return _isolated(_shard_pipeline(task), task.start, queries)
+        apply_shard_chaos(task.chaos, position, dispatch_key)
+    return _isolated(_shard_pipeline(task), queries)
 
 
-def merge_champions(
-    per_shard: Sequence[Sequence[Slot]],
-    higher_is_better: bool = False,
-) -> list[Slot]:
-    """Reduce per-shard champions to the global winner per query.
+def merge_champions(blocks: Sequence[Sequence[Slot]]) -> list[Slot]:
+    """Put the per-chunk answers of one flush back in flush order.
 
-    Lexicographic on ``(score, global_index)`` — score ascending (or
-    descending when *higher_is_better*), then lowest index — which equals
-    NumPy's argmin/argmax first-index rule over the concatenated score row.
-    A query that raised on any shard keeps the first exception in its slot:
-    it has no winner, and it does not disturb the other queries' merge.
-
-    Empty champion blocks (a shard whose every row was ejected from the
-    reduction upstream) are skipped: the merge seeds from the first
-    non-empty block, so determinism of the tie rule is unaffected by which
-    shard went dark.
+    *blocks* are the chunks' slot lists in position order, and
+    :func:`split_flush` cut the flush into contiguous chunks in that order,
+    so concatenating them restores it.  A query that raised keeps its
+    exception in its own slot and disturbs no other query.
     """
-    blocks = [rows for rows in per_shard if len(rows) > 0]
-    if not blocks:
-        return []
-    merged: list[Slot] = list(blocks[0])
-    for shard_rows in blocks[1:]:
-        for query_index, candidate in enumerate(shard_rows):
-            champion = merged[query_index]
-            if isinstance(champion, Exception):
-                continue
-            if isinstance(candidate, Exception):
-                merged[query_index] = candidate
-                continue
-            better = (
-                candidate[0] > champion[0]
-                if higher_is_better
-                else candidate[0] < champion[0]
-            )
-            # Equal scores keep the earlier (lower-index) champion: shards
-            # are ordered, so the incumbent always has the smaller index.
-            if better:
-                merged[query_index] = candidate
-    return merged
+    return [slot for block in blocks for slot in block]
 
 
 class ShardedRecognitionService(_FrontEnd):
     """Micro-batched recognition fanned out over shard worker processes.
 
-    *pipeline_name* must be a default-registry pipeline with a per-view
-    batch scoring path (the matching families; the hybrid is served in its
-    weighted-sum strategy).  Workers attach the published *store_dir*
-    version zero-copy; the front-end process keeps only the admission
-    queue, the deadline/fallback machinery, the shard health board and the
-    merge — reference matrices live in the workers' shared page cache.
+    *pipeline_name* must be a default-registry pipeline whose champion is
+    certifiable (:meth:`~repro.pipelines.base.ChampionPipeline.certifiable`:
+    the matching families on a tight bound; the hybrid in its weighted-sum
+    strategy).  Every worker attaches the published *store_dir* version
+    zero-copy and answers a chunk of each flush; the front-end process keeps
+    only the admission queue, the deadline/fallback machinery, the worker
+    health board and the reassembly — reference matrices live in the
+    workers' shared page cache.
 
     The submit/recognize/report surface, deadlines, fallback degradation,
     shedding and enrollment scaffolding are the in-process
     :class:`~repro.serving.service.RecognitionService`'s own front end;
     this class replaces only how a block is answered (epoch snapshot,
-    scatter/gather, merge, thresholds) and how an enrollment is committed.
+    scatter/gather, reassembly, thresholds) and how an enrollment is committed.
     It does not retry: a failed scatter gets one pool rebuild and replay,
     then degrades through *fallback*.  *chaos* attaches a scheduled
     :class:`~repro.engine.chaos.ShardChaos` fault plan to every worker
@@ -411,7 +320,6 @@ class ShardedRecognitionService(_FrontEnd):
         self.config = config or ExperimentConfig()
         self.pipeline_name = pipeline_name
         self.chaos = chaos
-        self._requested_workers = workers
         store = ReferenceStore.attach(store_dir, version=store_version)
         self.store_dir = str(store_dir)
         self.store_version = store.store_version
@@ -423,23 +331,19 @@ class ShardedRecognitionService(_FrontEnd):
             probation_after=self.settings.health_probation_after,
             recover_successes=self.settings.health_recover_successes,
         )
-        labels = store.references().labels
-        self.shards: tuple[WorkerShard, ...] = plan_shards(labels, workers)
-        self.workers = len(self.shards)
-        # Epoch-guarded serving state: the tasks each flush scatters against,
-        # the per-shard health board, and the in-flight count per epoch.  All
+        self.workers = workers
+        #: One ``[0, V)`` row range per worker: each serves the whole library.
+        self.shards = (range(len(store)),) * workers
+        # Epoch-guarded serving state: the task each flush scatters, the
+        # per-worker health board, and the in-flight count per epoch.  All
         # of it is read/replaced under the one condition so a hot-swap commit
         # is atomic with respect to the flush thread's snapshot.
         self._state_lock = threading.Condition()
         self._epoch = 0
         self._flush_index = 0
         self._inflight: dict[int, int] = {}
-        self._tasks: tuple[ShardTask, ...] = self._build_tasks(
-            self.shards, self.store_version, epoch=0
-        )
-        self._health: tuple[ShardHealth, ...] = tuple(
-            ShardHealth(self._health_policy) for _ in self.shards
-        )
+        self._task = self._build_task(self.store_version, epoch=0)
+        self._health = self._new_health_board()
         # Guards pool teardown/rebuild: the flush thread may replace a broken
         # pool while stop() shuts it down.
         self._pool_lock = threading.Lock()
@@ -448,7 +352,7 @@ class ShardedRecognitionService(_FrontEnd):
         # Online enrollment state: the pixel-bearing reference dataset the
         # store was built from (store rows are image-free, so a republish
         # needs the real dataset), and the calibrated rejection threshold
-        # applied post-merge.
+        # applied after reassembly.
         self._references = references
         self._threshold_model: "ThresholdModel | None" = None
         if threshold_model is not None:
@@ -457,9 +361,7 @@ class ShardedRecognitionService(_FrontEnd):
         # because the flush thread populates it while a swap may clear it.
         self._swap_lock = threading.Lock()
         self._rescue_lock = threading.Lock()
-        self._rescue_pipelines: dict[
-            tuple[str, int, int], RecognitionPipeline
-        ] = {}
+        self._rescue_pipelines: dict[str, RecognitionPipeline] = {}
 
     def _probe_registry_pipeline(self) -> None:
         """Fail fast on pipelines the shards cannot serve certified."""
@@ -471,35 +373,25 @@ class ShardedRecognitionService(_FrontEnd):
                 f"pipeline {self.pipeline_name!r} has no attach_store path "
                 "and cannot be served from shards"
             )
-        # A hybrid averaging strategy aggregates across views: no bound.
-        bound = getattr(type(probe), "_champion_bound", None)
-        strategy = getattr(getattr(probe, "strategy", None), "value", "weighted_sum")
-        if bound in (None, ChampionPipeline._champion_bound) or strategy != "weighted_sum":
+        if not (isinstance(probe, ChampionPipeline) and probe.certifiable()):
             raise ServingError(
                 f"pipeline {self.pipeline_name!r} has no certified per-view "
-                "champion and cannot be served from shards"
+                "champion on a tight bound and cannot be served from shards"
             )
         self._higher_is_better = bool(getattr(probe, "higher_is_better", False))
 
-    def _build_tasks(
-        self,
-        shards: Sequence[WorkerShard],
-        store_version: str,
-        epoch: int,
-    ) -> tuple[ShardTask, ...]:
-        return tuple(
-            ShardTask(
-                store_dir=self.store_dir,
-                store_version=store_version,
-                pipeline=self.pipeline_name,
-                config=self.config,
-                start=shard.start,
-                stop=shard.stop,
-                epoch=epoch,
-                chaos=self.chaos,
-            )
-            for shard in shards
+    def _build_task(self, store_version: str, epoch: int) -> ShardTask:
+        return ShardTask(
+            store_dir=self.store_dir,
+            store_version=store_version,
+            pipeline=self.pipeline_name,
+            config=self.config,
+            epoch=epoch,
+            chaos=self.chaos,
         )
+
+    def _new_health_board(self) -> tuple[ShardHealth, ...]:
+        return tuple(ShardHealth(self._health_policy) for _ in range(self.workers))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -516,13 +408,15 @@ class ShardedRecognitionService(_FrontEnd):
             return self._epoch
 
     def start(self) -> "ShardedRecognitionService":
-        """Spawn the worker pool, pre-attach every shard, start batching.
+        """Spawn the worker pool, pre-attach every worker, start batching.
 
-        Warm-up scatters one empty scoring round so each worker pays its
+        Warm-up scatters one empty scoring round per worker so each pays its
         store attach before the service reports ready — the sharded
         equivalent of the registry's warm-start probe.  (The warm-up
         dispatch key is a non-primary leg, so chaos plans never fire before
-        the first real flush.)
+        the first real flush.)  The collector is frozen across the fork, so
+        no worker's collections touch, and so copy, the pages of the
+        objects it inherited.
         """
         with self._pool_lock:
             if self._pool is None:
@@ -531,10 +425,15 @@ class ShardedRecognitionService(_FrontEnd):
                 )
             pool = self._pool
         with self._state_lock:
-            tasks = self._tasks
-        warmups = [pool.submit(_score_shard, task, [], "warm") for task in tasks]
-        for future in warmups:
-            future.result()
+            task = self._task
+        gc.collect()
+        gc.freeze()
+        try:
+            warmups = [pool.submit(_score_shard, task, [], "warm") for _ in range(self.workers)]
+            for future in warmups:
+                future.result()
+        finally:
+            gc.unfreeze()
         return super().start()
 
     def stop(self, drain: bool = True) -> None:
@@ -545,15 +444,11 @@ class ShardedRecognitionService(_FrontEnd):
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def health_report(self) -> dict[str, dict]:
-        """Per-shard health snapshots, keyed by ``"start:stop"`` row range."""
+    def health_report(self) -> dict[int, dict]:
+        """Per-worker health snapshots, keyed by worker position."""
         with self._state_lock:
-            shards = self.shards
             board = self._health
-        return {
-            f"{shard.start}:{shard.stop}": tracker.snapshot()
-            for shard, tracker in zip(shards, board)
-        }
+        return {position: tracker.snapshot() for position, tracker in enumerate(board)}
 
     # -- open-set thresholds ---------------------------------------------------
 
@@ -565,11 +460,11 @@ class ShardedRecognitionService(_FrontEnd):
     def attach_thresholds(
         self, model: "ThresholdModel"
     ) -> "ShardedRecognitionService":
-        """Screen every served champion through *model* post-merge.
+        """Screen every served champion through *model* in the front end.
 
-        The threshold applies at the front-end, after the cross-shard
-        champion merge — a per-shard rejection would corrupt the
-        first-index tie rule the merge reproduces.  Raises
+        The threshold applies at the front-end, after the chunks are put
+        back in flush order, so one snapshot of the model screens the whole
+        flush.  Raises
         :class:`~repro.errors.CalibrationError` when *model*'s score
         direction disagrees with the served pipeline's.
         """
@@ -595,11 +490,10 @@ class ShardedRecognitionService(_FrontEnd):
 
         Verify-then-commit, mid-traffic: the target version (``None`` =
         re-resolve the store's CURRENT pointer) is attached and verified in
-        the front-end, a fresh class-aligned shard plan is drawn from its
-        labels, and every new task is probed in the worker pool *before*
-        any state changes.  Only then is the new epoch committed under the
+        the front-end, and the new task is probed once per worker in the
+        pool *before* any state changes.  Only then is the new epoch committed under the
         state lock — flushes already in flight finish against their own
-        epoch's tasks (:meth:`wait_drained` observes the drain) while new
+        epoch's task (:meth:`wait_drained` observes the drain) while new
         admissions scatter against the new one.  Any verification or probe
         failure raises :class:`~repro.errors.SwapError` and the old epoch
         keeps serving untouched; the health board and rescue cache reset on
@@ -615,24 +509,17 @@ class ShardedRecognitionService(_FrontEnd):
                     f"{self.name}: swap target failed verification, old "
                     f"epoch kept: {exc}"
                 ) from exc
-            labels = store.references().labels
-            new_shards = plan_shards(labels, self._requested_workers)
             with self._state_lock:
                 new_epoch = self._epoch + 1
-            new_tasks = self._build_tasks(
-                new_shards, store.store_version, new_epoch
-            )
-            self._probe_tasks(new_tasks)
+            new_task = self._build_task(store.store_version, new_epoch)
+            self._probe_task(new_task)
             with self._state_lock:
                 old_version = self.store_version
                 self._epoch = new_epoch
-                self._tasks = new_tasks
-                self.shards = new_shards
-                self.workers = len(new_shards)
+                self._task = new_task
+                self.shards = (range(len(store)),) * self.workers
                 self.store_version = store.store_version
-                self._health = tuple(
-                    ShardHealth(self._health_policy) for _ in new_shards
-                )
+                self._health = self._new_health_board()
                 self._state_lock.notify_all()
             with self._rescue_lock:
                 self._rescue_pipelines.clear()
@@ -642,11 +529,11 @@ class ShardedRecognitionService(_FrontEnd):
                 old=old_version,
                 new=store.store_version,
                 epoch=new_epoch,
-                shards=len(new_shards),
+                shards=self.workers,
             )
 
-    def _probe_tasks(self, tasks: Sequence[ShardTask]) -> None:
-        """Attach every new-epoch task in the pool before committing it.
+    def _probe_task(self, task: ShardTask) -> None:
+        """Attach the new-epoch task in every worker before committing it.
 
         A swap that cannot serve must fail while the old epoch still
         serves; the probe key is a non-primary leg, so chaos plans never
@@ -656,7 +543,7 @@ class ShardedRecognitionService(_FrontEnd):
             pool = self._pool
         if pool is None:
             raise SwapError(f"{self.name}: cannot swap while the pool is down")
-        futures = [pool.submit(_score_shard, task, [], "swap") for task in tasks]
+        futures = [pool.submit(_score_shard, task, [], "swap") for _ in range(self.workers)]
         try:
             for future in futures:
                 future.result()
@@ -766,9 +653,9 @@ class ShardedRecognitionService(_FrontEnd):
     # -- flush path (micro-batcher thread) ------------------------------------
 
     def _serve_block(self, live: list[_PendingRequest]) -> None:
-        """Scatter the block over the current epoch's shards and merge.
+        """Scatter the block over the current epoch's workers and reassemble.
 
-        The epoch's tasks and health board are snapshotted atomically and
+        The epoch's task and health board are snapshotted atomically and
         this flush counts in flight against that epoch until every future
         of the block is settled, so a concurrent swap can commit at once
         and :meth:`wait_drained` observes the drain.
@@ -776,7 +663,7 @@ class ShardedRecognitionService(_FrontEnd):
         queries = [request.query for request in live]
         with self._state_lock:
             epoch = self._epoch
-            tasks = self._tasks
+            task = self._task
             board = self._health
             dispatch_key = str(self._flush_index)
             self._flush_index += 1
@@ -784,7 +671,7 @@ class ShardedRecognitionService(_FrontEnd):
         try:
             try:
                 champions, flagged = self._scatter_gather(
-                    tasks, board, queries, dispatch_key
+                    task, board, queries, dispatch_key
                 )
             except BrokenProcessPool:
                 # One rebuild + one replay: scoring is deterministic and
@@ -793,15 +680,14 @@ class ShardedRecognitionService(_FrontEnd):
                 # non-primary leg: a scheduled chaos kill does not re-fire.
                 self._rebuild_pool()
                 champions, flagged = self._scatter_gather(
-                    tasks, board, queries, dispatch_key + "r"
+                    task, board, queries, dispatch_key + "r"
                 )
         except Exception as exc:
             for request in live:
                 self._serve_degraded(request, exc)
         else:
             # Snapshot once per flush: an attach/detach mid-batch must not
-            # screen half the block.  Applied post-merge so the cross-shard
-            # first-index tie rule is decided before any rejection.
+            # screen half the block.
             threshold = self._threshold_model
             answered: list[_PendingRequest] = []
             predictions: list[Prediction] = []
@@ -828,85 +714,76 @@ class ShardedRecognitionService(_FrontEnd):
 
     def _scatter_gather(
         self,
-        tasks: Sequence[ShardTask],
+        task: ShardTask,
         board: Sequence[ShardHealth],
         queries: list[LabelledImage],
         dispatch_key: str,
     ) -> tuple[list[Slot], list[bool]]:
-        """Scatter to healthy shards, rescue the sick.
+        """Send each chunk of the flush to its worker, rescue the sick.
 
-        Returns ``(champions, flags)``: the merged global champion per
-        query, plus a flag marking queries whose winner came from a
-        rescue-served row range — those predictions surface as
-        ``degraded``, because they were served off their worker.  Rescue
-        and worker both serve the certified champion, so the answers are
-        the fault-free ones either way.
-        A query that alone raised has its exception for a champion, and
-        its shard still counts a success.
+        Returns ``(champions, flags)`` in flush order: each query's
+        champion, plus a flag marking queries of a chunk the in-process
+        rescue leg served (its worker's breaker was open, or its dispatch
+        errored) — those predictions surface as ``degraded``, because they
+        were served off their worker.  Rescue and worker both serve the
+        certified champion, so the answers are the fault-free ones either
+        way.  A query that alone raised has its exception for a champion,
+        and its worker still counts a success.
         """
         with self._pool_lock:
             pool = self._pool
         if pool is None:
             raise ServingError(f"{self.name}: worker pool is not running")
         started = self._clock()
-        primaries: dict[int, Future] = {}
-        rescue_positions: list[int] = []
-        for position, task in enumerate(tasks):
-            if board[position].allow_dispatch():
-                primaries[position] = pool.submit(
-                    _score_shard, task, queries, dispatch_key
-                )
-            else:
-                # Breaker open: skip the shard, serve its rows in-process.
-                rescue_positions.append(position)
-        blocks: dict[int, list[Slot]] = {}
-        for position in sorted(primaries):
-            try:
-                blocks[position] = primaries[position].result()
-                board[position].record_success(self._clock() - started)
-            except BrokenProcessPool:
-                # Attribution is approximate — the dead worker may have been
-                # running any shard's task — but the pool is gone either
-                # way: record the first observer and let _flush rebuild.
-                board[position].record_error()
-                self.stats.record_shard_error()
-                raise
-            except Exception:
-                board[position].record_error()
-                self.stats.record_shard_error()
-                rescue_positions.append(position)
-        for position in sorted(rescue_positions):
-            blocks[position] = self._rescue_shard(tasks[position], queries)
-            self.stats.record_rescued()
-        ordered = [blocks[position] for position in range(len(tasks))]
-        champions = merge_champions(ordered, higher_is_better=self._higher_is_better)
-        rescued_ranges = [
-            (tasks[position].start, tasks[position].stop)
-            for position in rescue_positions
-        ]
-        flags = [
-            not isinstance(champion, Exception)
-            and any(start <= champion[1] < stop for start, stop in rescued_ranges)
-            for champion in champions
-        ]
-        return champions, flags
+        chunks = [[queries[i] for i in chunk] for chunk in split_flush(len(queries), len(board))]
+        futures: dict[int, Future] = {
+            position: pool.submit(_score_shard, task, chunk, dispatch_key, position)
+            for position, chunk in enumerate(chunks)
+            if board[position].allow_dispatch()  # open breaker: rescue it
+        }
+        blocks: list[list[Slot]] = []
+        flags: list[bool] = []
+        for position, chunk in enumerate(chunks):
+            block: list[Slot] | None = None
+            if position in futures:
+                try:
+                    block = futures[position].result()
+                    board[position].record_success(self._clock() - started)
+                except BrokenProcessPool:
+                    # Attribution is approximate — the dead worker may have
+                    # been running any chunk — but the pool is gone either
+                    # way: record the first observer and let _serve_block
+                    # rebuild.
+                    board[position].record_error()
+                    self.stats.record_shard_error()
+                    raise
+                except Exception:
+                    board[position].record_error()
+                    self.stats.record_shard_error()
+            rescued = block is None
+            if block is None:
+                block = self._rescue_shard(task, chunk)
+                self.stats.record_rescued()
+            blocks.append(block)
+            flags.extend([rescued] * len(chunk))
+        return merge_champions(blocks), flags
 
     # -- in-process rescue -----------------------------------------------------
 
     def _rescue_shard(
         self, task: ShardTask, queries: list[LabelledImage]
     ) -> list[Slot]:
-        """Serve one sick shard's rows in the front-end process, exactly.
+        """Serve one sick worker's chunk in the front-end process, exactly.
 
-        The rescue pipeline attaches the shard's row range zero-copy behind
-        the same certified index its worker runs, so rescue answers equal
-        the worker's bit for bit; their merged winners are still flagged
+        The rescue pipeline attaches the same store version zero-copy
+        behind the same certified index every worker runs, so rescue
+        answers equal the worker's bit for bit; they are still flagged
         degraded because they were served off their worker.
         """
-        return _isolated(self._rescue_pipeline(task), task.start, queries)
+        return _isolated(self._rescue_pipeline(task), queries)
 
     def _rescue_pipeline(self, task: ShardTask) -> RecognitionPipeline:
-        key = (task.store_version, task.start, task.stop)
+        key = task.store_version
         with self._rescue_lock:
             pipeline = self._rescue_pipelines.get(key)
             if pipeline is None:

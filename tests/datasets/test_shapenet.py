@@ -80,7 +80,7 @@ class TestReferenceLibrary:
         assert len(library) == len(CLASS_NAMES) * 2 * 3
 
     def test_labels_form_contiguous_class_runs(self, library):
-        # plan_shards requires class-grouped rows.
+        # Every reference set is laid out class-grouped.
         labels = library.labels
         seen = []
         for label in labels:

@@ -132,3 +132,32 @@ class TestStoreAttachment:
         pipeline.attach_index(4)
         pipeline.attach_store(store, rows=(0, 40))
         assert not pipeline.index_attached
+
+
+class TestCertifiable:
+    """The one rule the sharded tier asks: a per-view champion whose bound
+    prunes (shape, or a Hellinger or Correlation colour term)."""
+
+    def test_served_registry_pipelines_are_certifiable(self, config):
+        assert all(pipeline.certifiable() for pipeline in _pipelines(config))
+
+    @pytest.mark.parametrize(
+        "metric, tight",
+        [
+            ("hellinger", True),
+            ("correlation", True),
+            ("intersection", False),
+            ("chi_square", False),
+        ],
+    )
+    def test_loose_colour_bounds_are_refused(self, metric, tight):
+        metric = HistogramMetric(metric)
+        hybrid = HybridPipeline(HybridStrategy.WEIGHTED_SUM, color_metric=metric)
+        assert ColorOnlyPipeline(metric).certifiable() is tight
+        assert hybrid.certifiable() is tight
+
+    @pytest.mark.parametrize(
+        "strategy", [s for s in HybridStrategy if s != HybridStrategy.WEIGHTED_SUM]
+    )
+    def test_averaging_hybrids_are_not_certifiable(self, strategy):
+        assert not HybridPipeline(strategy).certifiable()

@@ -1,7 +1,7 @@
 """Enrollment merges and the single-process live-enroll path.
 
 ``merge_enrollment`` must keep reference layouts class-contiguous (the
-shard planner's precondition) while preserving the relative order of every
+layout of every reference set) while preserving the relative order of every
 pre-existing view — the property that keeps old champions stable across an
 enrollment republish.  ``RecognitionService.enroll`` wires that merge into
 a quiesce-refit-restart cycle behind constant-time token auth.

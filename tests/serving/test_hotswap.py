@@ -99,7 +99,7 @@ def identity(predictions):
 
 class TestStoreSwap:
     def test_swap_under_load_is_bit_identical_to_cold_attach(self, swappable):
-        config, _, queries, store_dir, v1, v2, _ = swappable
+        config, references, queries, store_dir, v1, v2, _ = swappable
         service = make_service(swappable)
         with service:
             # Load in flight while the swap lands: the epoch guard snapshots
@@ -114,6 +114,8 @@ class TestStoreSwap:
             assert report.epoch == 1
             assert service.epoch == 1
             assert service.store_version == v2
+            # Every worker serves every row of the new version.
+            assert service.shards == (range(len(references) + 1),) * 2
         want = identity(cold_expected(swappable, v2))
         assert identity(post_swap) == want
         assert identity(pre_swap) == want * 3  # v1 == v2 by construction

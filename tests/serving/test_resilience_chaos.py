@@ -8,8 +8,12 @@ wrong answer.  Fault placement is scheduled (:class:`ShardChaos` names
 exact flush indexes) and the health state machine is counter-based, so
 each trajectory replays deterministically: requests are submitted one at
 a time, making the flush index — the chaos schedule's clock — equal to
-the request index.
+the request index.  A flush of fewer queries than workers dispatches to
+fewer workers, so a test of every worker's breaker sends each flush one
+query per worker.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -82,6 +86,19 @@ def serve_all(service, queries):
     return [service.recognize(query) for query in queries]
 
 
+def serve_each_to_every_worker(service, queries):
+    """One flush per query carrying a copy for every worker position, so
+    each worker gets a chunk of every scheduled flush.  The copies must
+    agree; returns one answer per flush."""
+    answers = []
+    for query in queries:
+        futures = [service.submit(query) for _ in range(service.workers)]
+        copies = [future.result(timeout=60.0) for future in futures]
+        assert len({(p.label, p.model_id, p.score, p.degraded) for p in copies}) == 1
+        answers.append(copies[0])
+    return answers
+
+
 def assert_no_silent_wrong_answers(got, expected):
     """The chaos contract: every answer is exact or flagged degraded."""
     for answer, want in zip(got, expected):
@@ -147,16 +164,18 @@ class TestInjectedShardFaults:
         # those answers are the exact certified champion but flagged
         # degraded.  From flush 3 the schedule is clean: probation probes
         # pass and the breakers close (probation_after=1, recover_successes=2).
+        # Each flush carries one query per worker, so every worker is
+        # dispatched to on every flush.
         service = ShardedRecognitionService(
             "shape-only",
             store_dir,
             workers=2,
-            settings=SETTINGS,
+            settings=dataclasses.replace(SETTINGS, max_batch_size=2, max_wait_ms=500.0),
             config=config,
             chaos=ShardChaos(error_flushes=(0, 1, 2)),
         )
         with service:
-            got = serve_all(service, queries)
+            got = serve_each_to_every_worker(service, queries)
             health = service.health_report()
             report = service.report()
         assert_no_silent_wrong_answers(got, expected)

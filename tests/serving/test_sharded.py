@@ -1,10 +1,10 @@
-"""Multi-process sharded serving: planning, merge semantics, end-to-end.
+"""Multi-process sharded serving: flush splitting, reassembly, end-to-end.
 
-Three layers, increasingly integrated: :func:`plan_shards` partitioning
-invariants (cover, no overlap, class alignment, never empty),
-:func:`merge_champions`' exact reproduction of NumPy's first-index tie
-rule, and :class:`ShardedRecognitionService` serving real queries through
-real worker processes — bit-identical to the single-process pipeline, with
+Three layers, increasingly integrated: :func:`split_flush` chunking
+invariants (contiguous, disjoint, covering, in order, never empty),
+:func:`merge_champions` putting the chunks back in flush order, and
+:class:`ShardedRecognitionService` serving real queries through real
+worker processes — bit-identical to the single-process pipeline, with
 exact admission/served accounting and one pool rebuild after a worker is
 killed mid-run.
 """
@@ -23,7 +23,7 @@ from repro.serving.registry import default_registry
 from repro.serving.shards import (
     ShardedRecognitionService,
     merge_champions,
-    plan_shards,
+    split_flush,
 )
 from repro.store import build_store
 
@@ -56,109 +56,37 @@ def served(tmp_path_factory):
     return config, references, queries, str(root / "store")
 
 
-class TestPlanShards:
-    def test_cover_no_overlap_class_aligned(self, served):
-        _, references, _, _ = served
-        labels = references.labels
-        shards = plan_shards(labels, 2)
-        assert shards[0].start == 0 and shards[-1].stop == len(labels)
-        for left, right in zip(shards, shards[1:]):
-            assert left.stop == right.start  # contiguous, no gap, no overlap
-        owners = [shard.classes for shard in shards]
-        flat = [label for classes in owners for label in classes]
-        assert len(flat) == len(set(flat))  # each class in exactly one shard
-        assert set(flat) == set(labels)
-
-    def test_more_workers_than_classes_caps_at_class_runs(self, served):
-        _, references, _, _ = served
-        shards = plan_shards(references.labels, 10)
-        assert 1 <= len(shards) <= 10
-        assert all(len(shard) > 0 for shard in shards)
-        assert shards[-1].stop == len(references)
-
-    def test_single_worker_owns_everything(self, served):
-        _, references, _, _ = served
-        (only,) = plan_shards(references.labels, 1)
-        assert (only.start, only.stop) == (0, len(references))
-        assert set(only.classes) == set(references.labels)
-
-    def test_rejects_nonsense(self):
-        with pytest.raises(ServingError):
-            plan_shards(["a"], 0)
-        with pytest.raises(ServingError):
-            plan_shards([], 2)
-
-
 class TestMergeChampions:
-    def test_minimizing_merge_keeps_the_lower_index_on_ties(self):
-        per_shard = [
-            [(0.5, 0, "a", "m0"), (0.2, 1, "a", "m1")],
-            [(0.5, 7, "b", "m7"), (0.1, 8, "b", "m8")],
-        ]
-        merged = merge_champions(per_shard, higher_is_better=False)
-        # Query 0 ties 0.5/0.5: the lower global index (earlier shard) wins —
-        # exactly np.argmin's first-index rule over the concatenated row.
-        assert merged[0] == (0.5, 0, "a", "m0")
-        assert merged[1] == (0.1, 8, "b", "m8")
-
-    def test_maximizing_merge_mirrors_argmax(self):
-        per_shard = [
-            [(0.9, 2, "a", "m2")],
-            [(0.9, 5, "b", "m5")],
-            [(0.95, 9, "c", "m9")],
-        ]
-        merged = merge_champions(per_shard, higher_is_better=True)
-        assert merged == [(0.95, 9, "c", "m9")]
-
     def test_a_failed_slot_stays_failed_and_leaves_the_rest(self):
         fault = ImageError("bad query")
-        per_shard = [
-            [(0.5, 0, "a", "m0"), fault],
-            [(0.1, 7, "b", "m7"), (0.2, 8, "b", "m8")],
-        ]
-        assert merge_champions(per_shard) == [(0.1, 7, "b", "m7"), fault]
-        later = ImageError("bad query on the second shard")
-        per_shard = [[(0.5, 0, "a", "m0"), fault], [(0.1, 7, "b", "m7"), later]]
-        assert merge_champions(per_shard)[1] is fault
+        blocks = [[(0.5, 0, "a", "m0"), fault], [(0.1, 7, "b", "m7")]]
+        merged = merge_champions(blocks)
+        assert merged == [(0.5, 0, "a", "m0"), fault, (0.1, 7, "b", "m7")]
+        assert merged[1] is fault
 
     def test_empty_champion_blocks_are_skipped(self):
-        # A shard whose rows were all served elsewhere (ejected upstream)
-        # contributes an empty block; the merge must seed from the first
-        # non-empty one rather than indexing into nothing.
-        per_shard = [[], [(0.3, 5, "b", "m5")], []]
-        assert merge_champions(per_shard) == [(0.3, 5, "b", "m5")]
+        blocks = [[], [(0.3, 5, "b", "m5")], []]
+        assert merge_champions(blocks) == [(0.3, 5, "b", "m5")]
 
     def test_all_blocks_empty_merges_to_nothing(self):
         assert merge_champions([[], [], []]) == []
         assert merge_champions([]) == []
 
-    def test_empty_block_preserves_the_first_index_tie_rule(self):
-        per_shard = [
-            [(0.5, 0, "a", "m0")],
-            [],
-            [(0.5, 9, "c", "m9")],  # ties the first block's score
-        ]
-        # The tie still resolves to the lower global index, exactly as if
-        # the empty middle shard had never existed.
-        assert merge_champions(per_shard) == [(0.5, 0, "a", "m0")]
-
     def test_merge_agrees_with_numpy_argmin_for_random_score_matrices(self):
+        # Each chunk of queries takes its argmin over every row, as a
+        # worker does; reassembled, the winners are the whole matrix's.
         rng = np.random.default_rng(42)
-        scores = rng.integers(0, 4, size=(6, 12)).astype(np.float64)  # many ties
-        bounds = [(0, 5), (5, 9), (9, 12)]
-        per_shard = []
-        for start, stop in bounds:
-            block = scores[:, start:stop]
-            local = np.argmin(block, axis=1)
-            per_shard.append(
-                [
-                    (float(block[q, local[q]]), start + int(local[q]), "x", "m")
-                    for q in range(scores.shape[0])
-                ]
-            )
-        merged = merge_champions(per_shard, higher_is_better=False)
-        winners = np.argmin(scores, axis=1)
-        assert [index for _, index, _, _ in merged] == [int(w) for w in winners]
+        scores = rng.integers(0, 4, size=(7, 12)).astype(np.float64)  # many ties
+        for workers in (2, 3):
+            blocks = []
+            for chunk in split_flush(scores.shape[0], workers):
+                block = scores[chunk.start : chunk.stop]
+                winners = np.argmin(block, axis=1)
+                blocks.append(
+                    [(float(row[w]), int(w), "x", "m") for row, w in zip(block, winners)]
+                )
+            merged = merge_champions(blocks)
+            assert [index for _, index, _, _ in merged] == np.argmin(scores, axis=1).tolist()
 
 
 class TestShardedService:
@@ -248,6 +176,24 @@ class TestShardedService:
         monkeypatch.setattr(registry, "default_registry", lambda: averaging)
         with pytest.raises(ServingError, match="certified"):
             ShardedRecognitionService("hybrid", store_dir, config=config)
+
+    def test_refuses_a_loose_colour_bound(self, served, monkeypatch):
+        # Each worker re-ranks every row the bound leaves, over the whole
+        # library: a loose Intersection bound is refused up front.
+        from repro.imaging.histogram import HistogramMetric
+        from repro.pipelines.color_only import ColorOnlyPipeline
+        from repro.serving import registry
+
+        config, _, _, store_dir = served
+        loose = registry.default_registry()
+        loose.register(
+            "color-only",
+            lambda cfg: ColorOnlyPipeline(HistogramMetric.INTERSECTION),
+            overwrite=True,
+        )
+        monkeypatch.setattr(registry, "default_registry", lambda: loose)
+        with pytest.raises(ServingError, match="certified"):
+            ShardedRecognitionService("color-only", store_dir, config=config)
 
 
 class TestShardedFailureIsolation:

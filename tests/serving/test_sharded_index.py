@@ -1,15 +1,15 @@
 """Sharded serving through the certified champion: identity and validation.
 
-Every shard worker scores its row range through the certified index, so
-the merged answer equals the in-process brute-force answer in label,
-model and float64 score.  Duplicate reference
-rows on both sides of the shard boundary send the cross-shard first-index
-tie through the real workers, and a rescued block equals its worker's
-block bit for bit.
+Every worker scores its chunk of the flush over the whole library through
+the certified index, so each answer equals the in-process brute-force
+answer in label, model and float64 score.  Duplicate reference views send
+the first-index tie through a real worker, and a rescued chunk equals its
+worker's chunk bit for bit.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import ExperimentConfig, ServingSettings
@@ -74,12 +74,11 @@ def _bits(label, model_id, score):
 
 @pytest.fixture(scope="module")
 def tied(tmp_path_factory):
-    """A store whose shard boundary splits duplicated reference views.
+    """A store holding duplicated reference views.
 
-    Each tie image appears twice: last in the ``box`` run, which closes
-    shard 0, and first in the ``disc`` run, which opens shard 1.  Served
-    as queries, they score bit-identically against both copies, so only
-    the first-index rule picks the ``box`` copy.
+    Each tie image appears twice: last in the ``box`` run and first in the
+    ``disc`` run.  Served as queries, they score bit-identically against
+    both copies, so only the first-index rule picks the ``box`` copy.
     """
     config = ExperimentConfig(seed=7, nyu_scale=0.01)
     base = grouped_set(seed=51, count=18, name="tie-refs")
@@ -109,7 +108,7 @@ def tied(tmp_path_factory):
 
 class TestCertifiedShardTies:
     @pytest.mark.parametrize("pipeline_name", ["shape-only", "color-only", "hybrid"])
-    def test_cross_shard_ties_match_in_process(self, tied, pipeline_name):
+    def test_within_worker_ties_match_in_process(self, tied, pipeline_name):
         config, references, queries, store_dir = tied
         single = default_registry().build(pipeline_name, config).fit(references)
         expected = single.predict_batch(queries)
@@ -121,27 +120,25 @@ class TestCertifiedShardTies:
             config=config,
         )
         with service:
-            first, second = service._tasks
+            task = service._task
             futures = [service.submit(query) for query in queries]
             got = [future.result(timeout=60.0) for future in futures]
-            workers = [
-                service._pool.submit(_score_shard, task, queries).result(timeout=60.0)
-                for task in (first, second)
-            ]
-            rescued = [service._rescue_shard(task, queries) for task in (first, second)]
-        # The duplicates straddle the boundary, and every tie query's two
-        # shard champions tie to the bit: the merge alone breaks the tie.
-        assert first.stop == second.start
+            worker = service._pool.submit(_score_shard, task, queries).result(timeout=60.0)
+            rescued = service._rescue_shard(task, queries)
+        # Every tie query scores its two copies to the same bit inside one
+        # worker, whose certified champion keeps the first (``box``) row.
+        box = [i for i, item in enumerate(references) if item.model_id.startswith("box-tie")]
+        disc = [i for i, item in enumerate(references) if item.model_id.startswith("disc-tie")]
         for query in range(4):  # the tie queries come first
-            low, high = workers[0][query], workers[1][query]
-            assert low[1] < first.stop <= high[1]
-            assert float(low[0]).hex() == float(high[0]).hex()
-            assert (low[2], high[2]) == ("box", "disc")
+            scores = single._score_features(single.extract_features(queries[query]))
+            assert float(scores[box[query]]).hex() == float(scores[disc[query]]).hex()
+            assert float(scores[box[query]]).hex() == float(scores.min()).hex()
+            assert worker[query][1] == int(np.argmin(scores)) < disc[query]
+            assert worker[query][2] == "box"
         assert [_bits(p.label, p.model_id, p.score) for p in got] == [
             _bits(p.label, p.model_id, p.score) for p in expected
         ]
         assert all(not p.degraded for p in got)
-        for worker, rescue in zip(workers, rescued):
-            assert [(*_bits(c[2], c[3], c[0]), c[1]) for c in rescue] == [
-                (*_bits(c[2], c[3], c[0]), c[1]) for c in worker
-            ]
+        assert [(*_bits(c[2], c[3], c[0]), c[1]) for c in rescued] == [
+            (*_bits(c[2], c[3], c[0]), c[1]) for c in worker
+        ]
