@@ -4,7 +4,7 @@ The serving and store tiers are the layers that *must not* fail silently:
 a swallowed exception there turns a shard fault, a corrupt artifact or a
 dead worker into a quietly wrong (or quietly missing) answer.  The
 resilience contract is that every error either propagates, is recorded in
-the health/stats machinery, or is degraded *loudly* through the fallback
+the serving stats, or is degraded *loudly* through the fallback
 path — so handlers that catch everything and do nothing are exactly what
 this family flags.  Legitimate cases (a caller that cancelled its own
 future, best-effort cleanup) carry a suppression with the reason spelled
@@ -86,7 +86,7 @@ class SwallowedErrorRule(_ResilienceModuleRule):
     """RES402: catch-everything handler whose body is only ``pass``.
 
     ``except Exception: pass`` in serving/store code erases the evidence a
-    fault ever happened — nothing reaches the health board, the stats, or
+    fault ever happened — nothing reaches the stats, the rescue leg, or
     the caller.  Handle it, record it, or re-raise; genuinely-ignorable
     cases (the caller cancelled its future) must say so in a suppression.
     Handlers for *specific* exceptions (``except OSError: pass`` around

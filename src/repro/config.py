@@ -171,12 +171,8 @@ class ServingSettings:
     bounds per-request prediction attempts when a request is isolated after
     a batch failure (same semantics as the engine's
     :class:`~repro.engine.faults.RetryPolicy`); it applies to the in-process
-    service only — the sharded service does not retry.
-
-    The ``health_*`` knobs tune the sharded service's fault handling: they
-    parametrise the per-shard :class:`~repro.serving.health.HealthPolicy` —
-    all counter based, so health trajectories replay deterministically in
-    tests.
+    service only — the sharded service does not retry; it rescues a chunk
+    whose dispatch errored in process instead.
     """
 
     max_batch_size: int = 32
@@ -184,11 +180,6 @@ class ServingSettings:
     max_queue_depth: int = 256
     deadline_ms: float | None = None
     max_attempts: int = 1
-    health_window: int = 16
-    health_degrade_errors: int = 2
-    health_eject_consecutive: int = 3
-    health_probation_after: int = 3
-    health_recover_successes: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:

@@ -204,7 +204,7 @@ def injector_from_env(pipeline: Any) -> Any:
 
 @dataclasses.dataclass(frozen=True)
 class ShardChaos:
-    """Scheduled fault plan for one serving shard's worker dispatches.
+    """Scheduled fault plan for the sharded service's worker dispatches.
 
     ``kill_flushes`` / ``error_flushes`` / ``slow_flushes`` name exact flush
     indexes (e.g. "kill the worker on flush 1, recover on the replay"), so
@@ -227,8 +227,8 @@ class ShardChaos:
             raise ReproError(f"slow_s must be >= 0, got {self.slow_s}")
 
 
-def apply_shard_chaos(chaos: ShardChaos, shard: int, key: str) -> None:
-    """Run *chaos*'s verdict for one dispatch of *shard* under *key*.
+def apply_shard_chaos(chaos: ShardChaos, key: str) -> None:
+    """Run *chaos*'s verdict for one shard dispatch under *key*.
 
     Called by the shard worker entry point before scoring.  ``key`` is the
     front-end's dispatch key: the flush index, suffixed ``r`` for a
@@ -244,7 +244,7 @@ def apply_shard_chaos(chaos: ShardChaos, shard: int, key: str) -> None:
     if flush in chaos.kill_flushes:
         os._exit(1)
     if flush in chaos.error_flushes:
-        raise InjectedFault(f"injected shard fault (shard {shard}, dispatch {key})")
+        raise InjectedFault(f"injected shard fault (dispatch {key})")
     if flush in chaos.slow_flushes:
         time.sleep(chaos.slow_s)
 

@@ -19,7 +19,7 @@ kernels through dynamic micro-batching.
   stats.ServingReport` — queue depth, batch-size histogram, p50/p95/p99
   latency, degraded/rejected counts;
 * :mod:`~repro.serving.shards` — multi-process fan-out: each flush is cut
-  into contiguous chunks of queries, one per worker process, and every
+  into at most one contiguous chunk of queries per worker process, and every
   worker attaches the whole memory-mapped :mod:`repro.store` artifact
   zero-copy, so its answers are the single-process certified champion bit
   for bit.  It shares the in-process service's front end and replaces only

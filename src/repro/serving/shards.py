@@ -4,9 +4,9 @@
 *processes*: every worker attaches the whole published
 :class:`~repro.store.attach.ReferenceStore` version zero-copy behind the
 certified index, and each admitted micro-batch is cut into at most
-``workers`` contiguous chunks of queries (:func:`split_flush`), one per
-worker, whose answers are put back in flush order (:func:`merge_champions`).
-The service shares the in-process
+``workers`` contiguous chunks of queries (:func:`split_flush`), one pool
+submit each, whose answers are put back in flush order
+(:func:`merge_champions`).  The service shares the in-process
 :class:`~repro.serving.service.RecognitionService`'s front end — admission,
 deadlines, degradation, shedding and the enrollment scaffolding — and
 replaces only how a block of live requests is answered.
@@ -23,13 +23,11 @@ and pickles each query once instead of once per worker (DESIGN.md,
 
 Resilience tier (see README "Resilience"):
 
-* **Worker health** — every worker position has a :class:`~repro.serving.
-  health.ShardHealth` breaker fed by dispatch outcomes.  A chunk whose
-  worker is EJECTED (open breaker), or whose dispatch errors, is served by
-  the in-process *rescue* leg: the front end attaches the same store
-  version zero-copy behind the same certified index, so rescue answers are
-  the worker's bit for bit; they are still flagged ``degraded`` because
-  they were served off their worker.
+* **Rescue** — a chunk whose dispatch errors is served by the in-process
+  *rescue* leg: the front end attaches the same store version zero-copy
+  behind the same certified index, so rescue answers are the worker's bit
+  for bit; they are still flagged ``degraded`` because they were served
+  off the pool.
 * **Live hot-swap** — :meth:`~ShardedRecognitionService.swap_store`
   verifies-then-commits a new store epoch mid-traffic: in-flight flushes
   drain against their own epoch's task while new admissions scatter
@@ -53,7 +51,7 @@ import gc
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +69,6 @@ from repro.errors import (
     SwapError,
 )
 from repro.pipelines.base import ChampionPipeline, Prediction, RecognitionPipeline
-from repro.serving.health import HealthPolicy, ShardHealth
 from repro.serving.service import _FrontEnd, _PendingRequest
 from repro.store.attach import ReferenceStore
 
@@ -133,15 +130,15 @@ def split_flush(count: int, workers: int) -> list[range]:
     """Cut a flush of *count* queries into at most *workers* chunks.
 
     The chunks are contiguous, disjoint and in flush order, cover every
-    query, and differ in size by at most one; chunk *i* goes to worker
-    position *i*.  A flush smaller than *workers* gets one chunk a query,
-    so no empty chunk is ever dispatched.
+    query, and differ in size by at most one; each is one pool submit, run
+    by whichever worker is idle.  A flush smaller than *workers* gets one
+    chunk a query, so no empty chunk is ever dispatched.
     """
     size, extra = divmod(count, workers)
     chunks: list[range] = []
     start = 0
-    for position in range(min(count, workers)):
-        stop = start + size + (position < extra)
+    for index in range(min(count, workers)):
+        stop = start + size + (index < extra)
         chunks.append(range(start, stop))
         start = stop
     return chunks
@@ -244,7 +241,6 @@ def _score_shard(
     task: ShardTask,
     queries: list[LabelledImage],
     dispatch_key: str = "",
-    position: int = 0,
 ) -> list[Slot]:
     """Worker entry point: each query's champion over the whole library.
 
@@ -252,17 +248,17 @@ def _score_shard(
     exception a query raised alone (:func:`_isolated`).  Module-level so
     the process backend can pickle it by reference.  *dispatch_key* names
     the flush (plus an ``r`` leg suffix for replays) and feeds the task's
-    scheduled chaos plan, when one is attached, for worker *position*.
+    scheduled chaos plan, when one is attached.
     """
     if task.chaos is not None:
-        apply_shard_chaos(task.chaos, position, dispatch_key)
+        apply_shard_chaos(task.chaos, dispatch_key)
     return _isolated(_shard_pipeline(task), queries)
 
 
 def merge_champions(blocks: Sequence[Sequence[Slot]]) -> list[Slot]:
     """Put the per-chunk answers of one flush back in flush order.
 
-    *blocks* are the chunks' slot lists in position order, and
+    *blocks* are the chunks' slot lists in chunk order, and
     :func:`split_flush` cut the flush into contiguous chunks in that order,
     so concatenating them restores it.  A query that raised keeps its
     exception in its own slot and disturbs no other query.
@@ -278,9 +274,9 @@ class ShardedRecognitionService(_FrontEnd):
     the matching families on a tight bound; the hybrid in its weighted-sum
     strategy).  Every worker attaches the published *store_dir* version
     zero-copy and answers a chunk of each flush; the front-end process keeps
-    only the admission queue, the deadline/fallback machinery, the worker
-    health board and the reassembly — reference matrices live in the
-    workers' shared page cache.
+    only the admission queue, the deadline/fallback machinery, the rescue
+    leg and the reassembly — reference matrices live in the workers' shared
+    page cache.
 
     The submit/recognize/report surface, deadlines, fallback degradation,
     shedding and enrollment scaffolding are the in-process
@@ -324,26 +320,18 @@ class ShardedRecognitionService(_FrontEnd):
         self.store_dir = str(store_dir)
         self.store_version = store.store_version
         self._probe_registry_pipeline()
-        self._health_policy = HealthPolicy(
-            window=self.settings.health_window,
-            degrade_errors=self.settings.health_degrade_errors,
-            eject_consecutive=self.settings.health_eject_consecutive,
-            probation_after=self.settings.health_probation_after,
-            recover_successes=self.settings.health_recover_successes,
-        )
         self.workers = workers
         #: One ``[0, V)`` row range per worker: each serves the whole library.
         self.shards = (range(len(store)),) * workers
-        # Epoch-guarded serving state: the task each flush scatters, the
-        # per-worker health board, and the in-flight count per epoch.  All
-        # of it is read/replaced under the one condition so a hot-swap commit
-        # is atomic with respect to the flush thread's snapshot.
+        # Epoch-guarded serving state: the task each flush scatters and the
+        # in-flight count per epoch.  Both are read/replaced under the one
+        # condition so a hot-swap commit is atomic with respect to the flush
+        # thread's snapshot.
         self._state_lock = threading.Condition()
         self._epoch = 0
         self._flush_index = 0
         self._inflight: dict[int, int] = {}
         self._task = self._build_task(self.store_version, epoch=0)
-        self._health = self._new_health_board()
         # Guards pool teardown/rebuild: the flush thread may replace a broken
         # pool while stop() shuts it down.
         self._pool_lock = threading.Lock()
@@ -390,9 +378,6 @@ class ShardedRecognitionService(_FrontEnd):
             chaos=self.chaos,
         )
 
-    def _new_health_board(self) -> tuple[ShardHealth, ...]:
-        return tuple(ShardHealth(self._health_policy) for _ in range(self.workers))
-
     # -- lifecycle ------------------------------------------------------------
 
     @property
@@ -408,15 +393,17 @@ class ShardedRecognitionService(_FrontEnd):
             return self._epoch
 
     def start(self) -> "ShardedRecognitionService":
-        """Spawn the worker pool, pre-attach every worker, start batching.
+        """Spawn the worker pool, warm it up, start batching.
 
-        Warm-up scatters one empty scoring round per worker so each pays its
-        store attach before the service reports ready — the sharded
-        equivalent of the registry's warm-start probe.  (The warm-up
-        dispatch key is a non-primary leg, so chaos plans never fire before
-        the first real flush.)  The collector is frozen across the fork, so
-        no worker's collections touch, and so copy, the pages of the
-        objects it inherited.
+        Warm-up submits ``workers`` empty scoring jobs to the pool and waits
+        for them before the service reports ready — the sharded equivalent
+        of the registry's warm-start probe.  The pool gives each submit to
+        whichever worker is idle, so this does not guarantee that every
+        worker has attached; one that has not attaches on its first real
+        chunk.  (The warm-up dispatch key is a non-primary leg, so chaos
+        plans never fire before the first real flush.)  The collector is
+        frozen across the fork, so no worker's collections touch, and so
+        copy, the pages of the objects it inherited.
         """
         with self._pool_lock:
             if self._pool is None:
@@ -443,12 +430,6 @@ class ShardedRecognitionService(_FrontEnd):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def health_report(self) -> dict[int, dict]:
-        """Per-worker health snapshots, keyed by worker position."""
-        with self._state_lock:
-            board = self._health
-        return {position: tracker.snapshot() for position, tracker in enumerate(board)}
 
     # -- open-set thresholds ---------------------------------------------------
 
@@ -490,14 +471,15 @@ class ShardedRecognitionService(_FrontEnd):
 
         Verify-then-commit, mid-traffic: the target version (``None`` =
         re-resolve the store's CURRENT pointer) is attached and verified in
-        the front-end, and the new task is probed once per worker in the
-        pool *before* any state changes.  Only then is the new epoch committed under the
-        state lock — flushes already in flight finish against their own
-        epoch's task (:meth:`wait_drained` observes the drain) while new
-        admissions scatter against the new one.  Any verification or probe
+        the front-end, and the new task is probed by ``workers`` submits to
+        the pool (:meth:`_probe_task`) *before* any state changes.  Only then
+        is the new epoch committed under the state lock — flushes already in
+        flight finish against their own epoch's task (:meth:`wait_drained`
+        observes the drain) while new admissions scatter against the new
+        one.  Any verification or probe
         failure raises :class:`~repro.errors.SwapError` and the old epoch
-        keeps serving untouched; the health board and rescue cache reset on
-        commit, since they described the superseded artifact.
+        keeps serving untouched; the rescue cache resets on commit, since it
+        held the superseded artifact.
         """
         with self._swap_lock:
             try:
@@ -519,7 +501,6 @@ class ShardedRecognitionService(_FrontEnd):
                 self._task = new_task
                 self.shards = (range(len(store)),) * self.workers
                 self.store_version = store.store_version
-                self._health = self._new_health_board()
                 self._state_lock.notify_all()
             with self._rescue_lock:
                 self._rescue_pipelines.clear()
@@ -533,10 +514,12 @@ class ShardedRecognitionService(_FrontEnd):
             )
 
     def _probe_task(self, task: ShardTask) -> None:
-        """Attach the new-epoch task in every worker before committing it.
+        """Run the new-epoch task as ``workers`` empty submits before committing it.
 
         A swap that cannot serve must fail while the old epoch still
-        serves; the probe key is a non-primary leg, so chaos plans never
+        serves.  The pool gives each submit to whichever worker is idle, so
+        the probe proves the new version attaches in the pool, not in every
+        worker.  The probe key is a non-primary leg, so chaos plans never
         fire inside a swap probe.
         """
         with self._pool_lock:
@@ -655,24 +638,21 @@ class ShardedRecognitionService(_FrontEnd):
     def _serve_block(self, live: list[_PendingRequest]) -> None:
         """Scatter the block over the current epoch's workers and reassemble.
 
-        The epoch's task and health board are snapshotted atomically and
-        this flush counts in flight against that epoch until every future
-        of the block is settled, so a concurrent swap can commit at once
-        and :meth:`wait_drained` observes the drain.
+        The epoch's task is snapshotted atomically and this flush counts in
+        flight against that epoch until every future of the block is
+        settled, so a concurrent swap can commit at once and
+        :meth:`wait_drained` observes the drain.
         """
         queries = [request.query for request in live]
         with self._state_lock:
             epoch = self._epoch
             task = self._task
-            board = self._health
             dispatch_key = str(self._flush_index)
             self._flush_index += 1
             self._inflight[epoch] = self._inflight.get(epoch, 0) + 1
         try:
             try:
-                champions, flagged = self._scatter_gather(
-                    task, board, queries, dispatch_key
-                )
+                champions, flagged = self._scatter_gather(task, queries, dispatch_key)
             except BrokenProcessPool:
                 # One rebuild + one replay: scoring is deterministic and
                 # read-only against an immutable store version, so replaying
@@ -680,7 +660,7 @@ class ShardedRecognitionService(_FrontEnd):
                 # non-primary leg: a scheduled chaos kill does not re-fire.
                 self._rebuild_pool()
                 champions, flagged = self._scatter_gather(
-                    task, board, queries, dispatch_key + "r"
+                    task, queries, dispatch_key + "r"
                 )
         except Exception as exc:
             for request in live:
@@ -715,55 +695,42 @@ class ShardedRecognitionService(_FrontEnd):
     def _scatter_gather(
         self,
         task: ShardTask,
-        board: Sequence[ShardHealth],
         queries: list[LabelledImage],
         dispatch_key: str,
     ) -> tuple[list[Slot], list[bool]]:
-        """Send each chunk of the flush to its worker, rescue the sick.
+        """Submit each chunk of the flush to the pool, rescue the failed.
 
         Returns ``(champions, flags)`` in flush order: each query's
-        champion, plus a flag marking queries of a chunk the in-process
-        rescue leg served (its worker's breaker was open, or its dispatch
-        errored) — those predictions surface as ``degraded``, because they
-        were served off their worker.  Rescue and worker both serve the
-        certified champion, so the answers are the fault-free ones either
-        way.  A query that alone raised has its exception for a champion,
-        and its worker still counts a success.
+        champion, plus a flag marking queries of a chunk whose dispatch
+        errored and that the in-process rescue leg served — those
+        predictions surface as ``degraded``, because they were served off
+        the pool.  Rescue and worker both serve the certified champion, so
+        the answers are the fault-free ones either way.  A query that alone
+        raised has its exception for a champion, and its chunk still counts
+        as served.
         """
         with self._pool_lock:
             pool = self._pool
         if pool is None:
             raise ServingError(f"{self.name}: worker pool is not running")
-        started = self._clock()
-        chunks = [[queries[i] for i in chunk] for chunk in split_flush(len(queries), len(board))]
-        futures: dict[int, Future] = {
-            position: pool.submit(_score_shard, task, chunk, dispatch_key, position)
-            for position, chunk in enumerate(chunks)
-            if board[position].allow_dispatch()  # open breaker: rescue it
-        }
+        chunks = [[queries[i] for i in chunk] for chunk in split_flush(len(queries), self.workers)]
+        futures = [pool.submit(_score_shard, task, chunk, dispatch_key) for chunk in chunks]
         blocks: list[list[Slot]] = []
         flags: list[bool] = []
-        for position, chunk in enumerate(chunks):
-            block: list[Slot] | None = None
-            if position in futures:
-                try:
-                    block = futures[position].result()
-                    board[position].record_success(self._clock() - started)
-                except BrokenProcessPool:
-                    # Attribution is approximate — the dead worker may have
-                    # been running any chunk — but the pool is gone either
-                    # way: record the first observer and let _serve_block
-                    # rebuild.
-                    board[position].record_error()
-                    self.stats.record_shard_error()
-                    raise
-                except Exception:
-                    board[position].record_error()
-                    self.stats.record_shard_error()
-            rescued = block is None
-            if block is None:
+        for future, chunk in zip(futures, chunks):
+            try:
+                block = future.result()
+                rescued = False
+            except BrokenProcessPool:
+                # The pool is gone whichever chunk the dead worker held:
+                # count it once and let _serve_block rebuild and replay.
+                self.stats.record_shard_error()
+                raise
+            except Exception:
+                self.stats.record_shard_error()
                 block = self._rescue_shard(task, chunk)
                 self.stats.record_rescued()
+                rescued = True
             blocks.append(block)
             flags.extend([rescued] * len(chunk))
         return merge_champions(blocks), flags
@@ -773,12 +740,12 @@ class ShardedRecognitionService(_FrontEnd):
     def _rescue_shard(
         self, task: ShardTask, queries: list[LabelledImage]
     ) -> list[Slot]:
-        """Serve one sick worker's chunk in the front-end process, exactly.
+        """Serve one failed chunk in the front-end process, exactly.
 
         The rescue pipeline attaches the same store version zero-copy
         behind the same certified index every worker runs, so rescue
         answers equal the worker's bit for bit; they are still flagged
-        degraded because they were served off their worker.
+        degraded because they were served off the pool.
         """
         return _isolated(self._rescue_pipeline(task), queries)
 

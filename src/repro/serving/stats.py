@@ -71,7 +71,7 @@ class ServingReport:
     #: queue to make room; ``shard_errors`` individual shard dispatch
     #: failures (faults, crashes, corrupt attaches); ``rescued`` sub-batches
     #: served through the in-process rescue path (the certified champion,
-    #: off the worker) after a dispatch failed or a breaker opened;
+    #: off the pool) after their dispatch failed;
     #: ``swaps`` committed live artifact hot-swaps.
     shed: int = 0
     shard_errors: int = 0

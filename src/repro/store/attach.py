@@ -134,7 +134,7 @@ class ReferenceStore:
         self._references: StoreReferences | None = None
         #: Times a shard memmap open hit a transient ``OSError`` and
         #: succeeded (or was condemned) on the single retry — surfaced so
-        #: serving health reports can tell flaky I/O from real corruption.
+        #: a caller can tell flaky I/O from real corruption.
         self.transient_retries = 0
 
     @classmethod

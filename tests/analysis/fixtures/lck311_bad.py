@@ -1,19 +1,19 @@
-"""Mutant of the shard health board with its RLock demoted to a Lock:
-record_error holds it and calls _eject, which takes it again — the first
-ejection hangs the shard."""
+"""Mutant of the error log with its RLock demoted to a Lock:
+record_error holds it and calls _trip, which takes it again — the first
+recorded error hangs the caller."""
 
 import threading
 
 
-class HealthBoard:
+class ErrorLog:
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.ejected = False
+        self.tripped = False
 
     def record_error(self) -> None:
         with self._lock:
-            self._eject()
+            self._trip()
 
-    def _eject(self) -> None:
+    def _trip(self) -> None:
         with self._lock:
-            self.ejected = True
+            self.tripped = True

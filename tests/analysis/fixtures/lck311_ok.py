@@ -1,17 +1,17 @@
-"""Clean twin: the real health board's shape — an RLock re-enters safely."""
+"""Clean twin: a lock-owning error log whose RLock re-enters safely."""
 
 import threading
 
 
-class HealthBoard:
+class ErrorLog:
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self.ejected = False
+        self.tripped = False
 
     def record_error(self) -> None:
         with self._lock:
-            self._eject()
+            self._trip()
 
-    def _eject(self) -> None:
+    def _trip(self) -> None:
         with self._lock:
-            self.ejected = True
+            self.tripped = True

@@ -45,7 +45,7 @@ _SCOPED_MODULES = {
     "res401": "repro.store.fake_errors",
     "res402": "repro.serving.fake_errors",
     "lck310": "repro.serving.fake_order",
-    "lck311": "repro.serving.fake_health",
+    "lck311": "repro.serving.fake_reentry",
     "det131": "repro.pipelines.fake_chaos",
     "det132": "repro.pipelines.fake_chaos",
 }
@@ -66,9 +66,9 @@ _EXPECTED = {
     # Calibration-threshold numerics: repro.openset joined scoring-modules
     # in PR 9, so the NUM/DET families must keep firing on threshold code.
     "openset_threshold": [("NUM203", 12), ("NUM201", 15), ("DET101", 16)],
-    # Whole-program families: each bad fixture is a realistic mutant of the
-    # real code (shard hot-swap, health board, chaos jitter) that only the
-    # project graph can connect.
+    # Whole-program families: each bad fixture is a realistic mutant (shard
+    # hot-swap, a re-entrant error log, chaos jitter) that only the project
+    # graph can connect.
     "lck310": [("LCK310", 19)],
     "lck311": [("LCK311", 15)],
     "det131": [("DET131", 8)],

@@ -297,9 +297,9 @@ class TestApplyShardChaos:
     def test_scheduled_error_fires_on_the_primary_leg_only(self):
         chaos = ShardChaos(error_flushes=(3,))
         with pytest.raises(InjectedFault, match="dispatch 3"):
-            apply_shard_chaos(chaos, 0, "3")
+            apply_shard_chaos(chaos, "3")
         for key in ("3r", "warm", "swap", "4"):
-            apply_shard_chaos(chaos, 0, key)  # exempt leg or unscheduled
+            apply_shard_chaos(chaos, key)  # exempt leg or unscheduled
 
     def test_negative_slow_s_rejected(self):
         with pytest.raises(ReproError):

@@ -1,7 +1,7 @@
 """The sharded service splits each flush by query.
 
-:func:`split_flush` cuts a flush into contiguous chunks, one per worker
-position, and every worker answers its chunk over the whole library.  The
+:func:`split_flush` cuts a flush into at most ``workers`` contiguous
+chunks, and every worker answers its chunk over the whole library.  The
 contract pinned here: whatever the flush size and the worker count, each
 served answer equals the in-process certified ``champion_batch`` answer in
 label, model and float64 score bits.

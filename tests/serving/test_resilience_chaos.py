@@ -5,12 +5,11 @@ The invariant every scenario asserts — the resilience tier's whole
 contract — is that a prediction is either **bit-identical to the
 fault-free run** or **flagged degraded**; a fault never produces a quietly
 wrong answer.  Fault placement is scheduled (:class:`ShardChaos` names
-exact flush indexes) and the health state machine is counter-based, so
-each trajectory replays deterministically: requests are submitted one at
-a time, making the flush index — the chaos schedule's clock — equal to
-the request index.  A flush of fewer queries than workers dispatches to
-fewer workers, so a test of every worker's breaker sends each flush one
-query per worker.
+exact flush indexes), so each trajectory replays deterministically:
+requests are submitted one at a time, making the flush index — the chaos
+schedule's clock — equal to the request index.  A flush of fewer queries
+than workers is cut into fewer chunks, so a test that wants every flush
+cut into ``workers`` chunks sends each flush one query per worker.
 """
 
 import dataclasses
@@ -33,16 +32,8 @@ from tests.engine.synthetic import make_image_set
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 #: Settings shared by the chaos runs: one request per flush (submissions
-#: are sequential), fast breaker thresholds so trajectories stay short.
-SETTINGS = ServingSettings(
-    max_batch_size=4,
-    max_wait_ms=5.0,
-    health_window=8,
-    health_degrade_errors=2,
-    health_eject_consecutive=3,
-    health_probation_after=1,
-    health_recover_successes=2,
-)
+#: are sequential).
+SETTINGS = ServingSettings(max_batch_size=4, max_wait_ms=5.0)
 
 
 def grouped_set(seed: int, count: int, name: str, source: str = "sns1"):
@@ -87,9 +78,9 @@ def serve_all(service, queries):
 
 
 def serve_each_to_every_worker(service, queries):
-    """One flush per query carrying a copy for every worker position, so
-    each worker gets a chunk of every scheduled flush.  The copies must
-    agree; returns one answer per flush."""
+    """One flush per query carrying one copy per worker, so every flush is
+    cut into ``workers`` one-query chunks.  The copies must agree; returns
+    one answer per flush."""
     answers = []
     for query in queries:
         futures = [service.submit(query) for _ in range(service.workers)]
@@ -157,15 +148,12 @@ class TestSeededWorkerKill:
 
 
 class TestInjectedShardFaults:
-    def test_eject_rescue_and_probation_recovery(self, served):
+    def test_each_errored_chunk_is_rescued_exact_and_counted_once(self, served):
         config, _, queries, expected, store_dir = served
-        # Errors on flushes 0-2 eject every shard (eject_consecutive=3);
-        # each failed scatter is served by the in-process rescue path, so
-        # those answers are the exact certified champion but flagged
-        # degraded.  From flush 3 the schedule is clean: probation probes
-        # pass and the breakers close (probation_after=1, recover_successes=2).
-        # Each flush carries one query per worker, so every worker is
-        # dispatched to on every flush.
+        # Errors on flushes 0-2 fail both chunks of each flush; the
+        # in-process rescue serves each failed chunk, so those answers are
+        # the exact certified champion but flagged degraded.  Each flush
+        # carries one query per worker, so it is cut into two chunks.
         service = ShardedRecognitionService(
             "shape-only",
             store_dir,
@@ -176,7 +164,6 @@ class TestInjectedShardFaults:
         )
         with service:
             got = serve_each_to_every_worker(service, queries)
-            health = service.health_report()
             report = service.report()
         assert_no_silent_wrong_answers(got, expected)
         # Flushes 0-2 were rescued (degraded, still exact); 3+ served clean.
@@ -187,18 +174,35 @@ class TestInjectedShardFaults:
                 want.model_id,
                 want.score,
             )
-        assert report.rescued > 0
-        assert report.shard_errors > 0
-        for snapshot in health.values():
-            assert snapshot["state"] == "healthy"  # recovered via probation
-            assert snapshot["ejections"] >= 1
-            assert snapshot["errors"] == 3
+        assert report.rescued == report.shard_errors == 6
 
-    def test_open_breaker_skips_the_scatter_without_stalling(self, served):
+    def test_the_first_clean_flush_after_faults_is_served_by_the_pool(self, served):
+        # Under default settings a fault leaves nothing behind: flush 3,
+        # the first one off the schedule, is answered by the workers and
+        # not flagged, so exactly the six failed chunks are rescued.
         config, _, queries, expected, store_dir = served
-        # An error on every primary dispatch keeps every shard's breaker
-        # open; the service must still answer every request (rescue path)
-        # rather than stalling the gather barrier.
+        service = ShardedRecognitionService(
+            "shape-only",
+            store_dir,
+            workers=2,
+            settings=ServingSettings(max_batch_size=2, max_wait_ms=500.0),
+            config=config,
+            chaos=ShardChaos(error_flushes=(0, 1, 2)),
+        )
+        with service:
+            got = serve_each_to_every_worker(service, queries)
+            report = service.report()
+        assert [p.degraded for p in got] == [True, True, True, False, False, False]
+        assert [(p.label, p.model_id, p.score) for p in got] == [
+            (p.label, p.model_id, p.score) for p in expected
+        ]
+        assert report.rescued == report.shard_errors == 6
+
+    def test_every_flush_errored_is_rescued_without_stalling(self, served):
+        config, _, queries, expected, store_dir = served
+        # An error on every primary dispatch; the service must still answer
+        # every request (rescue path) rather than stalling the gather
+        # barrier.
         service = ShardedRecognitionService(
             "shape-only",
             store_dir,
@@ -224,6 +228,8 @@ class TestInjectedShardFaults:
             )
         assert report.completed == len(queries)
         assert report.failed == 0
+        # One query per flush is one chunk per flush.
+        assert report.rescued == report.shard_errors == len(queries)
 
     def test_rescue_fails_a_malformed_query_alone(self, served):
         # The one flush's primaries error, so the in-process rescue scores

@@ -2,7 +2,7 @@
 
 :class:`ServiceStats` keeps only the most recent ``LATENCY_WINDOW``
 latencies, so a service that runs for days holds a fixed-size window, and
-its percentiles use the same nearest-rank rule as the shard health board.
+its percentiles use the one nearest-rank rule, :func:`nearest_rank`.
 """
 
 from repro.serving.stats import LATENCY_WINDOW, ServiceStats, nearest_rank
