@@ -67,7 +67,8 @@ def content_hash(image: np.ndarray) -> str:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(array.dtype).encode("ascii"))
     digest.update(str(array.shape).encode("ascii"))
-    digest.update(array.tobytes())
+    # The C-contiguous buffer holds the bytes tobytes() would copy out.
+    digest.update(array.data)
     return remember_hash(image, digest.hexdigest())
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from repro.errors import ContourError
+from repro.imaging.morphology import fill_holes
 
 #: 8-connected structuring element used for component labelling.
 _STRUCT8 = np.ones((3, 3), dtype=bool)
@@ -61,7 +62,7 @@ class Contour:
         theorem, so holes inside the outline (a window's panes) do not
         exist at the moment level.
         """
-        return ndimage.binary_fill_holes(self.mask)
+        return fill_holes(self.mask)
 
     @property
     def perimeter(self) -> float:

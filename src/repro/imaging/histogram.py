@@ -60,14 +60,23 @@ def rgb_histogram(
         if not mask.any():
             raise ImageError("mask selects no pixels")
 
-    parts = []
-    for channel in range(3):
-        values = data[..., channel]
-        if mask is not None:
-            values = values[mask]
-        counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
-        parts.append(counts.astype(np.float64))
-    hist = np.concatenate(parts)
+    # One bincount over all three channels, channel c offset by c * bins.
+    # The bin of each value is computed exactly as np.histogram's
+    # equal-width path computes it for range=(0, 1): keep values in
+    # [0, 1], truncate v * bins, then correct against the linspace edges.
+    pixels = data[mask] if mask is not None else data.reshape(-1, 3)
+    keep = (pixels >= 0.0) & (pixels <= 1.0)
+    offsets = np.broadcast_to(np.arange(0, 3 * bins, bins), pixels.shape)
+    if keep.all():
+        values, offsets = pixels.ravel(), offsets.ravel()
+    else:
+        values, offsets = pixels[keep], offsets[keep]
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    indices = ((values - 0.0) / 1.0 * bins).astype(np.intp, casting="unsafe")
+    indices[indices == bins] -= 1
+    indices[values < edges[indices]] -= 1
+    indices[(values >= edges[indices + 1]) & (indices != bins - 1)] += 1
+    hist = np.bincount(indices + offsets, minlength=3 * bins).astype(np.float64)
     if normalise:
         total = hist.sum()
         if total > 0:

@@ -74,30 +74,23 @@ def image_moments(image: np.ndarray) -> Moments:
     ys = np.arange(data.shape[0], dtype=np.float64)[:, None]
     xs = np.arange(data.shape[1], dtype=np.float64)[None, :]
 
-    # One fused pass: the x/y power tables are built once and the
-    # ``data * x^p`` products are shared across every q, instead of
-    # re-evaluating ``xs**p * ys**q`` from scratch for each of the 17
-    # moments.  The expression grouping ``(data * x^p) * y^q`` matches the
-    # original one-moment-at-a-time evaluation, so values are bit-identical.
-    xs_pow = [xs**p for p in range(4)]
-    ys_pow = [ys**q for q in range(4)]
-    data_xp = [data * xp for xp in xs_pow]
-
-    def raw(p: int, q: int) -> float:
-        return float((data_xp[p] * ys_pow[q]).sum())
-
-    m10, m01 = raw(1, 0), raw(0, 1)
+    # One fused pass: the x/y power tables are built once, the
+    # ``data * x^p`` products are shared across every q, and each family's
+    # ``(data * x^p) * y^q`` planes are written into one stacked array that
+    # a single row-wise sum reduces.  Each plane is one contiguous row, so
+    # every moment is summed exactly as the one-moment-at-a-time
+    # ``plane.sum()`` summed it, and values are bit-identical.  The power
+    # tables use ``x**p`` with a Python int exponent, as before: an array
+    # of exponents would take a different ``pow`` and round differently.
+    raw = _moment_sums(
+        data, [xs**p for p in range(4)], [ys**q for q in range(4)], _RAW_GROUPS
+    )
+    m10, m01 = raw[(1, 0)], raw[(0, 1)]
     cx, cy = m10 / m00, m01 / m00
     dx, dy = xs - cx, ys - cy
-
-    dx_pow = [dx**p for p in range(4)]
-    dy_pow = [dy**q for q in range(4)]
-    data_dxp = [data * dxp for dxp in dx_pow]
-
-    def central(p: int, q: int) -> float:
-        return float((data_dxp[p] * dy_pow[q]).sum())
-
-    mu = {(p, q): central(p, q) for p in range(4) for q in range(4) if 2 <= p + q <= 3}
+    mu = _moment_sums(
+        data, [dx**p for p in range(4)], [dy**q for q in range(4)], _CENTRAL_GROUPS
+    )
 
     def normalised(p: int, q: int) -> float:
         return mu[(p, q)] / m00 ** (1.0 + (p + q) / 2.0)
@@ -108,13 +101,13 @@ def image_moments(image: np.ndarray) -> Moments:
         m00=float(m00),
         m10=m10,
         m01=m01,
-        m20=raw(2, 0),
-        m11=raw(1, 1),
-        m02=raw(0, 2),
-        m30=raw(3, 0),
-        m21=raw(2, 1),
-        m12=raw(1, 2),
-        m03=raw(0, 3),
+        m20=raw[(2, 0)],
+        m11=raw[(1, 1)],
+        m02=raw[(0, 2)],
+        m30=raw[(3, 0)],
+        m21=raw[(2, 1)],
+        m12=raw[(1, 2)],
+        m03=raw[(0, 3)],
         mu20=mu[(2, 0)],
         mu11=mu[(1, 1)],
         mu02=mu[(0, 2)],
@@ -130,6 +123,35 @@ def image_moments(image: np.ndarray) -> Moments:
         nu12=nu[(1, 2)],
         nu03=nu[(0, 3)],
     )
+
+
+#: ``(p, first q, stop q)`` groups of the nine raw moments past ``m00`` and
+#: of the seven central moments.  The qs of one p are consecutive, so each
+#: group is one multiply against a slice of the y power table.
+_RAW_GROUPS = ((0, 1, 4), (1, 0, 3), (2, 0, 2), (3, 0, 1))
+_CENTRAL_GROUPS = ((0, 2, 4), (1, 1, 3), (2, 0, 2), (3, 0, 1))
+
+
+def _moment_sums(
+    data: np.ndarray,
+    x_pow: list[np.ndarray],
+    y_pow: list[np.ndarray],
+    groups: tuple[tuple[int, int, int], ...],
+) -> dict[tuple[int, int], float]:
+    """``sum(data * x^p * y^q)`` for every ``(p, q)`` of *groups*.
+
+    *x_pow* holds the ``(1, W)`` powers 0..3 of the (centred) x
+    coordinates and *y_pow* the ``(H, 1)`` powers of the y coordinates.
+    """
+    orders = [(p, q) for p, start, stop in groups for q in range(start, stop)]
+    planes = np.zeros((len(orders),) + data.shape)
+    y_table = np.array(y_pow)
+    row = 0
+    for p, start, stop in groups:
+        np.multiply(data * x_pow[p], y_table[start:stop], out=planes[row : row + stop - start])
+        row += stop - start
+    sums = planes.reshape(len(orders), -1).sum(axis=1).tolist()
+    return dict(zip(orders, sums))
 
 
 def hu_moments(moments: Moments | np.ndarray) -> np.ndarray:

@@ -10,17 +10,17 @@ pinned bit for bit by the test suite, is:
 Stage 1 computes, for a whole block of queries at once, a ``(Q, V)`` bound
 on the score every row's exact kernel would compute (from below for a
 distance, from above for a similarity; see :mod:`repro.index.bounds`).
-Stage 2 works one query at a time, in the lower-is-better *key* (the score,
-negated for a similarity; a NaN bound becomes -inf, so that row always
-survives):
+Stage 2 works in the lower-is-better *key* (the score, negated for a
+similarity; a NaN bound becomes -inf, so that row always survives):
 
-1. *Seed*: re-rank the row with the lowest key bound (the lowest index on a
-   tie) and call its exact key ``best``.  Rows with the trivial bound -inf
-   are passed over while any other row exists, because their bound says
-   nothing about their score.
-2. *Survivors*: every row whose key bound is ``<= best``.  A row whose
-   exact key is ``<= best`` has a key bound ``<= best`` too, so the brute
-   champion ``g`` survives.
+1. *Seed*: score the row with the lowest key bound (the lowest index on a
+   tie) exactly and call its exact key ``best``.  Rows with the trivial
+   bound -inf are passed over while any other row exists, because their
+   bound says nothing about their score.  :meth:`TwoStageRetriever.champions`
+   scores every query's seed of a block in one call.
+2. *Survivors*, one query at a time: every row whose key bound is
+   ``<= best``.  A row whose exact key is ``<= best`` has a key bound
+   ``<= best`` too, so the brute champion ``g`` survives.
 3. Re-rank the survivors, in ascending row order, and take the first
    argmin/argmax.
 
@@ -41,7 +41,7 @@ changes neither an answer nor the work done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -82,12 +82,13 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class BoundedQuery:
-    """One query's extracted features, its ``(V,)`` key bound and the row
-    to seed its re-rank with."""
+    """One query's extracted features, its ``(V,)`` key bound, the row to
+    seed its re-rank with and, once scored, that row's exact score."""
 
     features: Any
     keys: np.ndarray
     seed: int
+    seed_score: float | None = None
 
 
 class TwoStageRetriever:
@@ -108,6 +109,11 @@ class TwoStageRetriever:
         The validated shortlist size; it does not change answers.
     higher_is_better:
         Score polarity of the pipeline being served.
+    seed_scores:
+        Maps a list of query features and a ``(Q,)`` row array to each
+        query's exact score against its own row, bit for bit
+        ``rerank(features[i], rows[i:i + 1])[0]``.  Defaults to one
+        ``rerank`` call per query.
     """
 
     def __init__(
@@ -117,11 +123,13 @@ class TwoStageRetriever:
         n_rows: int,
         shortlist_k: int,
         higher_is_better: bool = False,
+        seed_scores: Callable[[list, np.ndarray], np.ndarray] | None = None,
     ) -> None:
         if n_rows < 1:
             raise RetrievalIndexError(f"cannot index an empty library ({n_rows} rows)")
         self._bound = bound
         self._rerank = rerank
+        self._seed_scores = seed_scores or self._rerank_each
         self.n_rows = int(n_rows)
         self.shortlist_k = validate_shortlist(shortlist_k)
         self.higher_is_better = bool(higher_is_better)
@@ -162,29 +170,58 @@ class TwoStageRetriever:
             exhaustive=rows.shape[0] == self.n_rows,
         )
 
+    def _rerank_each(self, features: list, rows: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self._scores(f, rows[i : i + 1])[0] for i, f in enumerate(features)]
+        )
+
+    def champions(self, features: Sequence[Any]) -> list[RetrievalResult]:
+        """Certified champions of a block: one bound call and one
+        seed-score call for the whole block, then :meth:`champion` of each
+        query with its seed score set.  Equal, result for result, to
+        :meth:`champion` of each query's features alone."""
+        queries = self.bounded(features)
+        if not queries:
+            return []
+        seeds = np.array([query.seed for query in queries], dtype=np.int64)
+        scores = np.asarray(
+            self._seed_scores([query.features for query in queries], seeds),
+            dtype=np.float64,
+        )
+        if scores.shape != seeds.shape:
+            raise RetrievalIndexError(
+                f"seed scoring returned shape {scores.shape} for {seeds.shape[0]} queries"
+            )
+        return [
+            self.champion(replace(query, seed_score=float(score)))
+            for query, score in zip(queries, scores)
+        ]
+
     def champion(self, query: Any) -> RetrievalResult:
         """Certified champion of one query.
 
         *query* is a :class:`BoundedQuery` from :meth:`bounded`, or raw
-        extracted features, which are bounded on their own first.
+        extracted features, which are bounded on their own first.  A seed
+        row not yet scored is re-ranked alone.
         """
         if not isinstance(query, BoundedQuery):
             query = self.bounded([query])[0]
-        features, keys = query.features, query.keys
-        seed = np.array([query.seed], dtype=np.int64)
-        seed_score = float(self._scores(features, seed)[0])
+        seed_score = query.seed_score
+        if seed_score is None:
+            seed = np.array([query.seed], dtype=np.int64)
+            seed_score = float(self._scores(query.features, seed)[0])
         if np.isnan(seed_score):
-            return self.champion_brute(features)
+            return self.champion_brute(query.features)
         best = -seed_score if self.higher_is_better else seed_score
-        rows = np.flatnonzero(keys <= best)
-        if rows.shape[0] == 1 and rows[0] == seed[0]:
+        rows = np.flatnonzero(query.keys <= best)
+        if rows.shape[0] == 1 and rows[0] == query.seed:
             return RetrievalResult(
                 score=seed_score,
-                row=int(seed[0]),
+                row=query.seed,
                 candidates=1,
                 exhaustive=self.n_rows == 1,
             )
-        return self._champion_of(features, rows)
+        return self._champion_of(query.features, rows)
 
     def champion_brute(self, features: Any) -> RetrievalResult:
         """Brute-force champion through the identical re-rank kernel.

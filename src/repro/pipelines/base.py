@@ -206,7 +206,7 @@ class ChampionPipeline(RecognitionPipeline):
     exhaustive scan for every query.  Subclasses supply
     :meth:`extract_features`, :meth:`_score_features` (the exhaustive
     ``(V,)`` scores), :meth:`_rerank_rows` (their restriction to some rows)
-    and, to be indexable, :meth:`_champion_bound`.
+    and, to be indexable, :meth:`_champion_bound` and :meth:`_seed_scores`.
     """
 
     higher_is_better: bool = False
@@ -235,6 +235,16 @@ class ChampionPipeline(RecognitionPipeline):
         kernel call satisfies this for free.
         """
         raise PipelineError(f"{self.name}: pipeline has no re-rank kernel")
+
+    def _seed_scores(self, features: list, seeds: np.ndarray) -> np.ndarray:
+        """Exact score of each query of a flush against its own seed row.
+
+        Must equal ``_rerank_rows(features[i], seeds[i:i + 1])[0]`` bit for
+        bit.  The kernels' block forms compute each row bit-identically to
+        their one-query forms, so the diagonal of one block call over
+        ``matrix[seeds]`` satisfies this.
+        """
+        raise PipelineError(f"{self.name}: pipeline has no seed kernel")
 
     def _champion_bound(self) -> Callable[[list], np.ndarray]:
         """Stage 1 of :meth:`attach_index`.
@@ -288,6 +298,7 @@ class ChampionPipeline(RecognitionPipeline):
             len(self.references),
             shortlist_k,
             higher_is_better=self.higher_is_better,
+            seed_scores=self._seed_scores,
         )
         return self
 
@@ -303,8 +314,9 @@ class ChampionPipeline(RecognitionPipeline):
     def champion_batch(self, queries: Sequence[LabelledImage]) -> "list[RetrievalResult]":
         """Champion row + exact score per query, without full score rows.
 
-        With an index attached, the flush is bounded once and each query
-        re-ranks only its surviving rows; without one, each query is an
+        With an index attached, the flush is bounded once, every query's
+        seed row is scored in one call, and each query re-ranks only its
+        surviving rows; without one, each query is an
         exhaustive scan through the same kernels (the audit/bench
         baseline).  Both share one tie rule (first index among equals).
         """
@@ -315,7 +327,7 @@ class ChampionPipeline(RecognitionPipeline):
         with maybe_stage(self.stopwatch, "score"):
             retriever = self._retriever
             if retriever is not None:
-                return [retriever.champion(query) for query in retriever.bounded(features)]
+                return retriever.champions(features)
             results = []
             for query_features in features:
                 scores = self._score_features(query_features)

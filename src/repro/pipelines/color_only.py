@@ -131,3 +131,10 @@ class ColorOnlyPipeline(MatchingPipeline):
         return compare_histograms_batch(
             query_features, self._reference_matrix[rows], self.metric
         )
+
+    def _seed_scores(self, features, seeds: np.ndarray) -> np.ndarray:
+        return np.diagonal(
+            compare_histograms_block(
+                stack_histograms(features), self._reference_matrix[seeds], self.metric
+            )
+        )

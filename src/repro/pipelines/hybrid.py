@@ -220,7 +220,7 @@ class HybridPipeline(ChampionPipeline):
 
         def bound(features: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
             with np.errstate(invalid="ignore"):  # inf - inf: the retriever's -inf
-                return self._block_thetas(features, color_bound)
+                return self._block_thetas(features, color_bound, self._shape_matrix)
 
         return bound
 
@@ -244,6 +244,19 @@ class HybridPipeline(ChampionPipeline):
         if self.color_metric.higher_is_better:
             color_scores = 1.0 - color_scores
         return self.alpha * shape_scores + self.beta * color_scores
+
+    def _seed_scores(
+        self, features: list[tuple[np.ndarray, np.ndarray]], seeds: np.ndarray
+    ) -> np.ndarray:
+        return np.diagonal(
+            self._block_thetas(
+                features,
+                lambda histograms: compare_histograms_block(
+                    histograms, self._color_matrix[seeds], self.color_metric
+                ),
+                self._shape_matrix[seeds],
+            )
+        )
 
     def _score_features(self, features: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         return self._thetas_of(*features)
@@ -364,6 +377,7 @@ class HybridPipeline(ChampionPipeline):
                     lambda histograms: compare_histograms_block(
                         histograms, self._color_matrix, self.color_metric
                     ),
+                    self._shape_matrix,
                 )
             return np.vstack([self._thetas_of(s, c) for s, c in features])
 
@@ -371,14 +385,16 @@ class HybridPipeline(ChampionPipeline):
         self,
         features: Sequence[tuple[np.ndarray, np.ndarray]],
         color_block: Callable[[np.ndarray], np.ndarray],
+        shape_matrix: np.ndarray,
     ) -> np.ndarray:
-        """``(Q, V)`` alpha * S + beta * C' with the exact block shape
-        scores and ``color_block`` of the stacked query histograms: the
-        block kernel for thetas, the certified colour bound for the index.
+        """``(Q, R)`` alpha * S + beta * C' with the exact block shape
+        scores against the ``R`` rows of *shape_matrix* and ``color_block``
+        of the stacked query histograms: the block kernel for thetas and
+        seed scores, the certified colour bound for the index.
         """
         shape_scores = match_shapes_block(
             hu_signature_matrix(np.vstack([s for s, _ in features])),
-            self._shape_matrix,
+            shape_matrix,
             self.shape_distance,
         )
         color_scores = color_block(stack_histograms([c for _, c in features]))

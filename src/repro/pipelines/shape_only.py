@@ -13,7 +13,6 @@ of :mod:`repro.imaging.match_shapes` (lower = more similar).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.datasets.dataset import LabelledImage
 from repro.imaging.match_shapes import (
@@ -25,6 +24,7 @@ from repro.imaging.match_shapes import (
     match_shapes_block,
 )
 from repro.imaging.moments import hu_moments
+from repro.imaging.morphology import fill_holes
 from repro.pipelines.base import MatchingPipeline
 from repro.pipelines.preprocess import ObjectCrop, object_crop_or_none
 
@@ -46,14 +46,14 @@ def crop_hu(object_crop: ObjectCrop | None) -> np.ndarray:
     is what ``cv2.matchShapes`` sees: OpenCV integrates contour moments via
     Green's theorem, so interior holes (window panes, mug handles) are
     invisible at the moment level.  Everything outside the crop window is
-    background that reaches the frame border, so filling the crop padded by
-    one background pixel equals filling the whole frame.  ``None`` (no
-    contour) maps to the degenerate all-NaN vector.
+    background that reaches the frame border, so filling the crop (whose
+    edge :func:`~repro.imaging.morphology.fill_holes` treats as border)
+    equals filling the whole frame.  ``None`` (no contour) maps to the
+    degenerate all-NaN vector.
     """
     if object_crop is None:
         return _DEGENERATE_HU
-    filled = ndimage.binary_fill_holes(np.pad(object_crop.mask, 1))[1:-1, 1:-1]
-    return hu_moments(filled.astype(np.float64))
+    return hu_moments(fill_holes(object_crop.mask).astype(np.float64))
 
 
 def shape_features(item: LabelledImage) -> np.ndarray:
@@ -119,4 +119,13 @@ class ShapeOnlyPipeline(MatchingPipeline):
         # bit for bit.
         return match_shapes_batch(
             hu_signature(query_features), self._reference_matrix[rows], self.distance
+        )
+
+    def _seed_scores(self, features, seeds: np.ndarray) -> np.ndarray:
+        return np.diagonal(
+            match_shapes_block(
+                hu_signature_matrix(np.vstack(features)),
+                self._reference_matrix[seeds],
+                self.distance,
+            )
         )

@@ -31,6 +31,48 @@ class TestContentHash:
         assert content_hash(data) == content_hash(transposed_back)
 
 
+def _tobytes_digest(data) -> str:
+    """``content_hash`` as formulated with a ``tobytes()`` copy."""
+    import hashlib
+
+    array = np.ascontiguousarray(data)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(array.dtype).encode("ascii"))
+    digest.update(str(array.shape).encode("ascii"))
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestContentHashBuffer:
+    """Hashing the contiguous buffer gives the ``tobytes()`` digest, so no
+    cache entry or store version is re-keyed."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.random((6, 5, 3)),
+            lambda rng: np.asfortranarray(rng.random((6, 5, 3))),
+            lambda rng: rng.random((12, 10, 3))[::2, 1::3],
+            lambda rng: rng.random((7, 9)).T,
+            lambda rng: np.float64(rng.random()).reshape(()),
+            lambda rng: rng.random((5, 4)) > 0.5,
+            lambda rng: rng.integers(0, 256, size=(6, 5, 3), dtype=np.uint8),
+            lambda rng: rng.random((6, 5, 3)).astype(np.float32),
+            lambda rng: np.zeros((0, 3)),
+        ],
+        ids=["c", "fortran", "strided", "transposed", "0-d", "bool", "uint8", "float32", "empty"],
+    )
+    def test_digest_equals_the_tobytes_digest(self, make, rng):
+        data = make(rng)
+        assert content_hash(data) == _tobytes_digest(data)
+
+    def test_store_version_id_is_unchanged(self, sns1):
+        from repro.config import HISTOGRAM_BINS
+        from repro.store.builder import DEFAULT_FAMILIES, store_version_id
+
+        assert store_version_id(sns1, HISTOGRAM_BINS, DEFAULT_FAMILIES) == "ae85d932102d02fe"
+
+
 class TestContentHashMemo:
     """The per-object digest memo: hash once, reuse across namespaces."""
 

@@ -20,7 +20,7 @@ from repro.imaging.histogram import HistogramMetric
 from repro.imaging.match_shapes import ShapeDistance
 from repro.pipelines.color_only import ColorOnlyPipeline
 from repro.pipelines.hybrid import HybridPipeline, HybridStrategy
-from repro.pipelines.shape_only import ShapeOnlyPipeline
+from repro.pipelines.shape_only import ShapeOnlyPipeline, _DEGENERATE_HU
 
 #: Library rows whose features the queries repeat exactly (and nearly).
 ANCHORS = (0, 8, 18, 41, 57, 70)
@@ -177,3 +177,55 @@ def test_stress_library_carries_every_degenerate_row(stressed):
     assert np.isnan(signatures).any(axis=1).sum() == 1
     assert ((np.abs(signatures) <= 1e-30) & ~np.isnan(signatures)).any(axis=1).sum() >= 1
     assert (histograms.sum(axis=1) == 0).sum() == 2
+
+
+#: Every indexable scoring family: shape-only under L1/L2/L3, colour-only
+#: under all four metrics, and the hybrid.
+SEED_FAMILIES = (
+    [ShapeOnlyPipeline(d) for d in ShapeDistance]
+    + [ColorOnlyPipeline(m) for m in HistogramMetric]
+    + ["hybrid"]
+)
+
+
+def _seed_pipeline(family, config, stressed):
+    """*family* over the stress library."""
+    if family == "hybrid":
+        return make_pipeline("hybrid", config, stressed)
+    signatures, histograms, references = stressed
+    if isinstance(family, ShapeOnlyPipeline):
+        pipeline = ShapeOnlyPipeline(family.distance)
+        pipeline._reference_matrix = signatures
+    else:
+        pipeline = ColorOnlyPipeline(family.metric, bins=config.histogram_bins)
+        pipeline._reference_matrix = histograms
+    pipeline._references = references
+    return pipeline
+
+
+@pytest.mark.parametrize(
+    "family", SEED_FAMILIES, ids=lambda f: f if isinstance(f, str) else f.name
+)
+def test_block_seed_scores_equal_one_row_reranks(family, config, stressed, queries):
+    """One block call scores every query against its own seed row exactly
+    as ``_rerank_rows(features, [seed])`` does, NaN signatures and
+    zero-mass histograms included, on both sides."""
+    pipeline = _seed_pipeline(family, config, stressed)
+    pairs = [make_pipeline("hybrid", config, stressed).extract_features(q) for q in queries]
+    zero = np.zeros(3 * config.histogram_bins)
+    pairs += [(_DEGENERATE_HU, pairs[0][1]), (pairs[1][0], zero), (_DEGENERATE_HU, zero)]
+    if isinstance(pipeline, ShapeOnlyPipeline):
+        features = [hu for hu, _ in pairs]
+    elif isinstance(pipeline, ColorOnlyPipeline):
+        features = [hist for _, hist in pairs]
+    else:
+        features = pairs
+    count, rows = len(features), len(pipeline.references)
+    # Every library row is some query's seed, and every query is also
+    # seeded on the NaN-Hu and zero-mass rows at the library's end.
+    seedings = [(np.arange(count) + shift) % rows for shift in range(0, rows, count)]
+    seedings += [np.full(count, row) for row in range(rows - 3, rows)]
+    for seeds in seedings:
+        block = pipeline._seed_scores(features, seeds)
+        one_row = [pipeline._rerank_rows(f, seeds[i : i + 1])[0] for i, f in enumerate(features)]
+        assert np.asarray(block, dtype=np.float64).tobytes() == np.asarray(one_row).tobytes()

@@ -171,6 +171,45 @@ class TestBlocks:
             retriever.champion(i) for i in range(12)
         ]
 
+    @pytest.mark.parametrize("higher_is_better", [False, True])
+    @pytest.mark.parametrize("block_seeds", [False, True])
+    def test_champions_equal_champion_per_query(self, rng, higher_is_better, block_seeds):
+        scores = rng.random((12, 12))
+        scores[[2, 7], 5] = np.nan  # a NaN seed score falls back to brute force
+        bounds = _loose(rng, np.nan_to_num(scores), higher_is_better)
+        bounds[[2, 7], 5] = 10.0 if higher_is_better else -10.0  # their seed
+        retriever = _make_retriever(bounds, scores, 4, higher_is_better)
+        if block_seeds:
+            retriever._seed_scores = lambda features, seeds: scores[features, seeds]
+
+        def fields(hit):
+            return hit.row, np.float64(hit.score).tobytes(), hit.candidates, hit.exhaustive
+
+        queries = list(range(12))
+        block = [fields(hit) for hit in retriever.champions(queries)]
+        assert block == [fields(retriever.champion(q)) for q in queries]
+        assert block[2][2] == 12 and block[7][2] == 12
+        assert retriever.champions([]) == []
+
+    def test_champions_settle_each_query_through_champion(self, rng):
+        """Per-query hooks on ``champion`` (the benchmark's index tracer)
+        see every query of a block, each with its block-scored seed."""
+        scores = rng.random((5, 9))
+        retriever = _make_retriever(_loose(rng, scores, False), scores, 3)
+        retriever._seed_scores = lambda features, seeds: scores[features, seeds]
+        seen = []
+        original = retriever.champion
+
+        def champion(query):
+            seen.append(query.seed_score)
+            return original(query)
+
+        retriever.champion = champion
+        hits = retriever.champions(list(range(5)))
+        seeds = [query.seed for query in retriever.bounded(list(range(5)))]
+        assert seen == [scores[q, s] for q, s in enumerate(seeds)]
+        assert [hit.row for hit in hits] == list(scores.argmin(axis=1))
+
     def test_seed_passes_over_trivial_rows(self, rng):
         scores = rng.random((4, 6)) + 1.0
         bounds = scores - 0.1
